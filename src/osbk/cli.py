@@ -8,7 +8,7 @@ master seed, and writes a JSON result plus CSV plot series under --out.
 Config schema (all keys optional unless a command requires them):
 
     {"manifold": {...}, "command": {...}, "seed": 0, "out": "runs/x",
-     "tolerances": {"residual": 1e-8, "dedup": 1e-6, "degeneracy": 1e-9}}
+     "tolerances": {"residual": 1e-8}}
 
 Unknown keys anywhere are rejected. Exit codes: 0 success, 2 search or
 computation failure (machine-readable code in the error JSON), 3 config
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from .manifolds import (
 )
 from .wall import CubicForm2
 
-DEFAULT_TOLERANCES = {"residual": 1e-8, "dedup": 1e-6, "degeneracy": 1e-9}
+DEFAULT_TOLERANCES = {"residual": 1e-8}
 
 _TOP_KEYS = {"manifold", "command", "seed", "out", "tolerances"}
 
@@ -65,58 +66,59 @@ class Param:
     default: Any
     help: str
     required: bool = False
+    low: int | None = None  # least accepted value of an int parameter
 
 
 _COMMANDS: dict[str, list[Param]] = {
     "step": [
         Param("z", "floats", None, "source point, comma-separated phase coordinates", True),
         Param("branch", "int", 1, "ellipsoid chord branch, +1 or -1"),
-        Param("grid", "int", 2048, "initial root-scan grid for curves"),
-        Param("starts", "int", 64, "Newton starts for numeric graph stepping"),
+        Param("grid", "int", 2048, "initial root-scan grid for curves", low=1),
+        Param("starts", "int", 64, "Newton starts for numeric graph stepping", low=1),
     ],
     "iterate": [
         Param("z", "floats", None, "start point", True),
-        Param("steps", "int", 1000, "number of correspondence steps"),
+        Param("steps", "int", 1000, "number of correspondence steps", low=1),
         Param("branch", "int", 1, "chord branch (+1 forward, -1 backward)"),
-        Param("grid", "int", 2048, "curve root-scan grid"),
+        Param("grid", "int", 2048, "curve root-scan grid", low=1),
     ],
     "periodic": [
         Param("n", "int", None, "orbit length (odd, >= 3)", True),
-        Param("starts", "int", 64, "multi-start count"),
+        Param("starts", "int", 64, "multi-start count", low=1),
         Param("mode", "str", "max", "max or min critical orbits"),
     ],
     "even-search": [
         Param("n", "int", None, "orbit length (even, >= 2)", True),
-        Param("starts", "int", 256, "least-squares starts"),
+        Param("starts", "int", 256, "least-squares starts", low=1),
     ],
     "shoot": [
         Param("n", "int", None, "number of chain links", True),
-        Param("starts", "int", 64, "multi-start count"),
+        Param("starts", "int", 64, "multi-start count", low=1),
         Param("mode", "str", "both", "max, min, or both"),
         Param("l1", "json", None, "first affine Lagrangian {base, basis}; default x-subspace"),
         Param("l2", "json", None, "second affine Lagrangian; default y-subspace"),
     ],
     "wall": [
-        Param("t_count", "int", 64, "curve parameter grid size"),
+        Param("t_count", "int", 64, "curve parameter grid size", low=1),
         Param("plane_grid", "floats", [0.0], "kernel coefficients for wall-plane sampling"),
         Param("probes", "points", [], "points whose multiplicity to count, JSON [[x,y],...]"),
-        Param("grid", "int", 2048, "root-scan grid for multiplicity counting"),
+        Param("grid", "int", 2048, "root-scan grid for multiplicity counting", low=1),
     ],
     "classify": [
         Param("coeffs", "floats", None, "cubic coefficients a,b,c,d", True),
-        Param("trials", "int", 1000, "generic probes for the multiplicity histogram"),
+        Param("trials", "int", 1000, "generic probes for the multiplicity histogram", low=1),
     ],
     "integrability": [
         Param("z", "floats", None, "ellipsoid start point (ellipsoid tables only)"),
-        Param("steps", "int", 1000, "ellipsoid orbit length"),
+        Param("steps", "int", 1000, "ellipsoid orbit length", low=1),
         Param("branch", "int", 1, "ellipsoid chord branch"),
-        Param("pairs", "int", 100, "random correspondence pairs (cubic graphs)"),
-        Param("bracket_points", "int", 100, "random points for Poisson bracket checks"),
+        Param("pairs", "int", 100, "random correspondence pairs (cubic graphs)", low=1),
+        Param("bracket_points", "int", 100, "random points for Poisson bracket checks", low=1),
     ],
     "check": [
-        Param("samples", "int", 512, "parameter samples per dimension"),
+        Param("samples", "int", 512, "parameter samples per dimension", low=1),
         Param("probes", "points", [], "probe points for condition (LL); sampled if empty"),
-        Param("probe_count", "int", 8, "auto-generated probe count when probes is empty"),
+        Param("probe_count", "int", 8, "auto-generated probe count when probes is empty", low=1),
     ],
 }
 
@@ -131,6 +133,8 @@ def _coerce(p: Param, raw: Any) -> Any:
         if p.kind == "int":
             if isinstance(raw, bool) or not isinstance(raw, (int, float)) or int(raw) != raw:
                 raise ValueError
+            if p.low is not None and raw < p.low:
+                raise ConfigError(f"parameter '{p.name}' must be >= {p.low}")
             return int(raw)
         if p.kind == "float":
             return float(raw)
@@ -176,11 +180,32 @@ def _load_json_file(path: str) -> Any:
         raise ConfigError(f"{path} is not valid JSON: {e}") from None
 
 
+def _check_top(key: str, value: Any) -> Any:
+    """Validate one top-level value; the config file and the flags share this."""
+    if key == "seed":
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
+            raise ConfigError("seed must be an unsigned 64-bit integer")
+    elif key == "out":
+        if not isinstance(value, str):
+            raise ConfigError("out must be a path string")
+    elif key == "tolerances":
+        if not isinstance(value, dict):
+            raise ConfigError("tolerances must be an object")
+        unknown = set(value) - set(DEFAULT_TOLERANCES)
+        if unknown:
+            raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
+        for k, v in value.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+                raise ConfigError(f"tolerance '{k}' must be a positive finite number")
+    return value
+
+
 def _merged_config(command: str, args: argparse.Namespace) -> dict:
-    """Defaults, then config file, then flags; schema-checked at every layer."""
+    """Defaults, then config file, then flags; both layers pass the same checks."""
     schema = _COMMANDS[command]
     merged: dict[str, Any] = {p.name: p.default for p in schema}
     top: dict[str, Any] = {"manifold": None, "seed": 0, "out": None, "tolerances": dict(DEFAULT_TOLERANCES)}
+    layers: list[tuple[dict, dict]] = []  # (top-level values, command parameters), lowest precedence first
 
     if args.config is not None:
         cfg = _load_json_file(args.config)
@@ -189,65 +214,38 @@ def _merged_config(command: str, args: argparse.Namespace) -> dict:
         unknown = set(cfg) - _TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "manifold" in cfg:
-            top["manifold"] = cfg["manifold"]
-        if "seed" in cfg:
-            seed = cfg["seed"]
-            if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-                raise ConfigError("seed must be an unsigned 64-bit integer")
-            top["seed"] = seed
-        if "out" in cfg:
-            if not isinstance(cfg["out"], str):
-                raise ConfigError("out must be a path string")
-            top["out"] = cfg["out"]
-        if "tolerances" in cfg:
-            tols = cfg["tolerances"]
-            if not isinstance(tols, dict):
-                raise ConfigError("tolerances must be an object")
-            unknown = set(tols) - set(DEFAULT_TOLERANCES)
-            if unknown:
-                raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
-            for k, v in tols.items():
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < float(v):
-                    raise ConfigError(f"tolerance '{k}' must be a positive number")
-                top["tolerances"][k] = float(v)
-        if "command" in cfg:
-            body = cfg["command"]
-            if not isinstance(body, dict):
-                raise ConfigError("command must be an object of parameters")
-            allowed = {p.name for p in schema} | {"name"}
-            unknown = set(body) - allowed
-            if unknown:
-                raise ConfigError(f"unknown parameters for '{command}': {sorted(unknown)}")
-            if "name" in body and body["name"] != command:
-                raise ConfigError(f"config command name '{body['name']}' does not match '{command}'")
-            for p in schema:
-                if p.name in body:
-                    merged[p.name] = _coerce(p, body[p.name])
+        body = cfg.get("command", {})
+        if not isinstance(body, dict):
+            raise ConfigError("command must be an object of parameters")
+        allowed = {p.name for p in schema} | {"name"}
+        unknown = set(body) - allowed
+        if unknown:
+            raise ConfigError(f"unknown parameters for '{command}': {sorted(unknown)}")
+        if "name" in body and body["name"] != command:
+            raise ConfigError(f"config command name '{body['name']}' does not match '{command}'")
+        layers.append(({k: v for k, v in cfg.items() if k != "command"}, body))
 
-    for p in schema:
-        flag_val = getattr(args, p.name, None)
-        if flag_val is not None:
-            merged[p.name] = _coerce(p, _parse_flag(p, flag_val))
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("seed must be an unsigned 64-bit integer")
-        top["seed"] = args.seed
-    if args.out is not None:
-        top["out"] = args.out
+    flags: dict[str, Any] = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
     if args.manifold is not None:
         text = args.manifold
-        top["manifold"] = _load_json_file(text[1:]) if text.startswith("@") else json.loads(text)
+        flags["manifold"] = _load_json_file(text[1:]) if text.startswith("@") else json.loads(text)
     if args.tolerances is not None:
         try:
-            tols = json.loads(args.tolerances)
+            flags["tolerances"] = json.loads(args.tolerances)
         except json.JSONDecodeError as e:
             raise ConfigError(f"--tolerances is not valid JSON: {e}") from None
-        unknown = set(tols) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
-        for k, v in tols.items():
-            top["tolerances"][k] = float(v)
+    params = {p.name: _parse_flag(p, getattr(args, p.name)) for p in schema if getattr(args, p.name) is not None}
+    layers.append((flags, params))
+
+    for values, given in layers:
+        for k, v in values.items():
+            if k == "tolerances":
+                top[k].update({name: float(tol) for name, tol in _check_top(k, v).items()})
+            else:
+                top[k] = _check_top(k, v)
+        for p in schema:
+            if p.name in given:
+                merged[p.name] = _coerce(p, given[p.name])
 
     missing = [p.name for p in schema if p.required and merged[p.name] is None]
     if missing:

@@ -381,15 +381,6 @@ def iterate_ellipsoid(ell: SymplecticEllipsoid, z0, steps: int, branch: int = 1)
 # -- Lagrangian graphs ---------------------------------------------------------
 
 
-def _graph_tangent_rows(graph: GeneratingGraph, q: np.ndarray) -> np.ndarray:
-    H = graph.hess(q)
-    n = graph.n
-    rows = np.zeros((n, 2 * n))
-    for a in range(n):
-        rows[a] = interleave(np.eye(n)[a], H[:, a])
-    return rows
-
-
 def step_cubic_graph(graph: GeneratingGraph, z, transform: AffineSymplectic | None = None) -> list[StepCandidate]:
     """Exact partner enumeration for a homogeneous cubic graph in two variables.
 
@@ -411,7 +402,7 @@ def step_cubic_graph(graph: GeneratingGraph, z, transform: AffineSymplectic | No
     for w in sols:
         q = Q - w
         mid = graph.embed(q)
-        rows = _graph_tangent_rows(graph, q)
+        rows = graph.tangent_rows(q)
         cands.append(_build_candidate(z, mid, q, rows, transform))
     return _dedup(cands, angular=False)
 
@@ -469,7 +460,7 @@ def step_graph_numeric(
     cands = []
     for q, singular in found:
         mid = graph.embed(q)
-        rows = _graph_tangent_rows(graph, q)
+        rows = graph.tangent_rows(q)
         cands.append(_build_candidate(z, mid, q, rows, transform, on_wall=singular))
     return _dedup(cands, angular=False)
 

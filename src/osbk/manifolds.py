@@ -425,6 +425,13 @@ class GeneratingGraph:
         q = np.asarray(q, dtype=float)
         return interleave(q, self.grad(q))
 
+    def tangent_rows(self, q) -> np.ndarray:
+        """(n, 2n) rows d embed / d q_a = (e_a, hess F(q) e_a), interleaved."""
+        rows = np.empty((self.n, self.ambient_dim))
+        rows[:, 0::2] = np.eye(self.n)
+        rows[:, 1::2] = self.hess(q).T
+        return rows
+
     def is_homogeneous_cubic(self) -> bool:
         return self.F.is_homogeneous(3)
 
@@ -503,12 +510,7 @@ class ManifoldSpec:
         if trig is not None:
             Jc = trig.jacobian(u)
         else:
-            g: GeneratingGraph = self.table
-            q = np.asarray(u, dtype=float)
-            H = g.hess(q)
-            Jc = np.zeros((g.ambient_dim, g.n))
-            for a in range(g.n):
-                Jc[:, a] = interleave(np.eye(g.n)[a], H[:, a])
+            Jc = self.table.tangent_rows(u).T
             if self.transform:
                 Jc = self.transform.S @ Jc
         sv = np.linalg.svd(Jc, compute_uv=False)

@@ -18,18 +18,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from ._pool import parallel_map, task_rng
-from .core import AffineLagrangian, AffineSymplectic, apply_J, normalize_lagrangian_pair, omega_pairwise
+from .core import AffineLagrangian, AffineSymplectic, normalize_lagrangian_pair, omega_pairwise
 from .errors import ClosureError
 from .manifolds import ManifoldSpec, TWO_PI
 from .correspondence import orthogonality_residual
 
-DEGENERACY_TOL = 1e-9  # consecutive-midpoint coincidence threshold
+# Consecutive-midpoint coincidence threshold. Near a degenerate orbit the
+# solutions are not isolated, the even search's least-squares system is
+# singular there and converges only to about sqrt(eps), so coinciding
+# midpoints come back that far apart.
+DEGENERACY_TOL = math.sqrt(np.finfo(float).eps)
 ORBIT_DEDUP = 1e-6
 
 
@@ -143,6 +148,15 @@ def _points_of(Q) -> np.ndarray:
     return np.atleast_2d(np.asarray(Q, dtype=float))
 
 
+@lru_cache(maxsize=None)
+def _alternating_upper(n: int) -> np.ndarray:
+    """(n, n) strictly upper-triangular (-1)^(i+j); read-only, shared by both generating functions."""
+    idx = np.arange(n)
+    A = np.triu((-1.0) ** (idx[:, None] + idx[None, :]), k=1)
+    A.flags.writeable = False
+    return A
+
+
 def gen_fun_periodic(Q) -> float:
     """2 sum_{i<j} (-1)^{i+j-1} omega(Q_i, Q_j) for odd-length polygons."""
     P = _points_of(Q)
@@ -151,25 +165,15 @@ def gen_fun_periodic(Q) -> float:
         raise ValueError("even-length periodic polygons admit no generating function")
     X, Y = P[:, 0::2], P[:, 1::2]
     W = X @ Y.T - Y @ X.T  # W[i, j] = omega(Q_i, Q_j)
-    idx = np.arange(n)
-    sign = (-1.0) ** (idx[:, None] + idx[None, :] + 1)  # (-1)^{i+j-1}, 1-based == 0-based+2
-    upper = np.triu(np.ones((n, n)), k=1)
-    return 2.0 * float(np.sum(sign * W * upper))
+    return -2.0 * float(np.sum(_alternating_upper(n) * W))
 
 
 def gen_fun_boundary(Q) -> float:
     """2 sum_i q_i . q_i' + 4 sum_{i<j} (-1)^{j-i} q_j . q_i' for chains."""
     P = _points_of(Q)
-    n = P.shape[0]
     X, Y = P[:, 0::2], P[:, 1::2]
-    total = 2.0 * float(np.sum(X * Y))
-    if n > 1:
-        idx = np.arange(n)
-        sign = (-1.0) ** (idx[None, :] - idx[:, None])  # (-1)^{j-i} at [i, j]
-        inner = X @ Y.T  # inner[j, i] = q_j . q_i'
-        upper = np.triu(np.ones((n, n)), k=1)
-        total += 4.0 * float(np.sum(sign * upper * inner.T))
-    return total
+    inner = X @ Y.T  # inner[j, i] = q_j . q_i'
+    return 2.0 * float(np.sum(X * Y)) + 4.0 * float(np.sum(_alternating_upper(P.shape[0]) * inner.T))
 
 
 # -- reconstruction -------------------------------------------------------------
@@ -182,14 +186,26 @@ def closure_defect(Q) -> np.ndarray:
     return np.einsum("i,ij->j", signs, P)
 
 
-def _reflect_chain(z1: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """z_{i+1} = 2 Q_i - z_i starting from z1; returns (n+1, 2d)."""
-    n = P.shape[0]
-    Z = np.empty((n + 1, P.shape[1]))
-    Z[0] = z1
-    for i in range(n):
-        Z[i + 1] = 2.0 * P[i] - Z[i]
-    return Z
+@lru_cache(maxsize=None)
+def _chain_coefficients(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(n+1, n) coefficients of Q_j in the x-parts and y-parts of vertex z_i.
+
+    The chain is z_{i+1} = 2 Q_i - z_i. Boundary chains start on the
+    x-subspace and end on the y-subspace. Periodic chains share one table for
+    both parts and start at the odd-n fixed point z_1 = Q_1 - Q_2 + ... + Q_n,
+    or at 0 for even n, where a free start z_1 adds (-1)^i z_1 to vertex i.
+    Read-only: the tables are shared between calls.
+    """
+    i, j = np.indices((n + 1, n))
+    sign = (-1.0) ** (i + j)
+    after = j < i  # Q_j already reflected through on the way to z_i
+    back = np.where(after, -2.0 * sign, 0.0)
+    if kind == "periodic":
+        Cx = Cy = back + (n % 2) * sign
+    else:
+        Cx, Cy = np.where(after, 0.0, 2.0 * sign), back
+    Cx.flags.writeable = Cy.flags.writeable = False
+    return Cx, Cy
 
 
 def reconstruct_periodic(Q, z1=None, tol: float = 1e-9) -> OrbitPolyline:
@@ -202,17 +218,16 @@ def reconstruct_periodic(Q, z1=None, tol: float = 1e-9) -> OrbitPolyline:
     """
     P = _points_of(Q)
     n = P.shape[0]
-    if n % 2 == 1:
-        signs = np.array([(-1.0) ** i for i in range(n)])  # +,-,+,... from Q_1
-        z1 = np.einsum("i,ij->j", signs, P)
-    else:
+    C, _ = _chain_coefficients(n, "periodic")
+    Z = C[:-1] @ P
+    if n % 2 == 0:
         defect = closure_defect(P)
         dn = float(np.linalg.norm(defect))
         if dn >= tol:
             raise ClosureError(f"even polygon does not close: defect norm {dn:.3e}", defect)
-        z1 = np.zeros(P.shape[1]) if z1 is None else np.asarray(z1, dtype=float)
-    Z = _reflect_chain(np.asarray(z1, dtype=float), P)
-    return make_orbit(Z[:-1], "periodic")
+        if z1 is not None:
+            Z += np.outer((-1.0) ** np.arange(n), np.asarray(z1, dtype=float))
+    return make_orbit(Z, "periodic")
 
 
 def reconstruct_boundary(Q) -> OrbitPolyline:
@@ -222,60 +237,23 @@ def reconstruct_boundary(Q) -> OrbitPolyline:
     y_i = 2 sum_{j<i} (-1)^{i-j+1} q_j' with y_1 = 0.
     """
     P = _points_of(Q)
-    n = P.shape[0]
-    X, Y = P[:, 0::2], P[:, 1::2]
-    Rx, Ry = _boundary_coefficients(n)
-    Zx = Rx @ X
-    Zy = Ry @ Y
-    Z = np.empty((n + 1, P.shape[1]))
-    Z[:, 0::2] = Zx
-    Z[:, 1::2] = Zy
+    Cx, Cy = _chain_coefficients(P.shape[0], "boundary")
+    Z = np.empty((P.shape[0] + 1, P.shape[1]))
+    Z[:, 0::2] = Cx @ P[:, 0::2]
+    Z[:, 1::2] = Cy @ P[:, 1::2]
     return make_orbit(Z, "boundary")
-
-
-def _boundary_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n+1, n) coefficient matrices: x-parts of z from q, y-parts from q'."""
-    Rx = np.zeros((n + 1, n))
-    Ry = np.zeros((n + 1, n))
-    for i in range(1, n + 2):  # 1-based vertex index
-        for j in range(1, n + 1):
-            if i <= n and j >= i:
-                Rx[i - 1, j - 1] = 2.0 * (-1.0) ** (j - i)
-            if j <= i - 1:
-                Ry[i - 1, j - 1] = 2.0 * (-1.0) ** (i - j + 1)
-    return Rx, Ry
-
-
-def _periodic_coefficients(n: int) -> np.ndarray:
-    """(n+1, n) coefficients of Q in the reflection chain with the odd-n z_1."""
-    rho = np.zeros((n + 1, n))
-    for k in range(n):
-        rho[0, k] = (-1.0) ** k
-    for i in range(n):
-        rho[i + 1] = -rho[i]
-        rho[i + 1, i] += 2.0
-    return rho
 
 
 # -- gradients and Hessians ------------------------------------------------------
 
 
-def _chain_vertices(P: np.ndarray, kind: str) -> np.ndarray:
-    """(n+1, 2d) vertex chain of the reconstruction (periodic wraps z_{n+1}=z_1)."""
-    if kind == "periodic":
-        orb = reconstruct_periodic(P)
-        return np.vstack([orb.vertices, orb.vertices[0]])
-    return reconstruct_boundary(P).vertices
-
-
 def ambient_gradients(Q, kind: str) -> np.ndarray:
     """Gradient of the generating function in each midpoint: -J(z_{i+1} - z_i)."""
     P = _points_of(Q)
-    Z = _chain_vertices(P, kind)
-    diffs = Z[1:] - Z[:-1]
-    out = np.empty_like(diffs)
-    for i, dz in enumerate(diffs):
-        out[i] = -apply_J(dz)
+    Dx, Dy = _recon_diff(P.shape[0], kind)
+    out = np.empty_like(P)
+    out[:, 0::2] = Dy @ P[:, 1::2]
+    out[:, 1::2] = -(Dx @ P[:, 0::2])
     return out
 
 
@@ -293,12 +271,8 @@ def grad_gen_fun(spec: ManifoldSpec, Q: MidpointPolygon, kind: str) -> list[np.n
 
 def _recon_diff(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """(n, n) scalar coefficients of Q_j in (z_{i+1} - z_i), split x/y parts."""
-    if kind == "periodic":
-        rho = _periodic_coefficients(n)
-        D = rho[1:] - rho[:-1]
-        return D, D
-    Rx, Ry = _boundary_coefficients(n)
-    return Rx[1:] - Rx[:-1], Ry[1:] - Ry[:-1]
+    Cx, Cy = _chain_coefficients(n, kind)
+    return np.diff(Cx, axis=0), np.diff(Cy, axis=0)
 
 
 def stationarity_hessian(spec: ManifoldSpec, params: np.ndarray, kind: str) -> np.ndarray:
@@ -622,22 +596,17 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
     closure defect with the omega-orthogonality at every midpoint, giving a
     square system solved by Levenberg-Marquardt with the analytic Jacobian.
     """
-    if n % 2 == 1:
-        raise ValueError("use find_periodic_orbit for odd n")
+    if n % 2 == 1 or n < 2:
+        raise ValueError("even search requires even n >= 2; use find_periodic_orbit for odd n")
     m = spec.param_dim
     dim = spec.ambient_dim
     lo, hi = spec.box
     angular = spec.params_are_angles
 
-    rho = np.zeros((n + 1, n))
-    sigma = np.empty(n + 1)
-    sigma[0] = 1.0
-    for i in range(n):
-        rho[i + 1] = -rho[i]
-        rho[i + 1, i] += 2.0
-        sigma[i + 1] = -sigma[i]
-    drho = rho[1:] - rho[:-1]
-    dsigma = sigma[1:] - sigma[:-1]
+    C, _ = _chain_coefficients(n, "periodic")
+    D = np.diff(C, axis=0)
+    sigma = (-1.0) ** np.arange(n + 1)  # the free start z_1 enters vertex i as (-1)^i z_1
+    dsigma = np.diff(sigma)
 
     def unpack(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return vec[: n * m].reshape(n, m), vec[n * m :]
@@ -645,48 +614,36 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
     def residuals(vec: np.ndarray) -> np.ndarray:
         U, z1 = unpack(vec)
         pts = np.array([spec.embed(u) for u in U])
-        Z = _reflect_chain(z1, pts)
-        out = np.empty(dim + n * m)
-        out[:dim] = Z[n] - z1  # closure (z1 cancels for even n)
-        diffs = Z[1:] - Z[:-1]
-        k = dim
-        for i, u in enumerate(U):
-            rows = spec.tangent_basis(u)
-            out[k : k + m] = rows[:, 1::2] @ diffs[i][0::2] - rows[:, 0::2] @ diffs[i][1::2]
-            k += m
-        return out
+        R = np.array([spec.tangent_basis(u) for u in U])  # (n, m, dim)
+        diffs = D @ pts + np.outer(dsigma, z1)
+        # omega(z_{i+1} - z_i, zeta_ia) at [i, a]
+        ortho = np.einsum("iak,ik->ia", R[..., 1::2], diffs[:, 0::2]) - np.einsum(
+            "iak,ik->ia", R[..., 0::2], diffs[:, 1::2]
+        )
+        return np.concatenate([C[n] @ pts, ortho.ravel()])  # closure z_{n+1} - z_1 is free of z_1 for even n
 
     def jacobian(vec: np.ndarray) -> np.ndarray:
         U, z1 = unpack(vec)
         pts = np.array([spec.embed(u) for u in U])
-        rows = [spec.tangent_basis(u) for u in U]
-        hesses = [spec.embed_hessian(u) for u in U]
-        Z = _reflect_chain(z1, pts)
-        diffs = Z[1:] - Z[:-1]
-        J = np.zeros((dim + n * m, n * m + dim))
-        for j in range(n):
-            for b in range(m):
-                J[:dim, j * m + b] = rho[n, j] * rows[j][b]
-        # closure: even chain cancels z1, so those columns stay zero
-        for i in range(n):
-            for a in range(m):
-                r = dim + i * m + a
-                zeta = rows[i][a]
-                Jz = apply_J(zeta)
-                for j in range(n):
-                    if drho[i, j] != 0.0:
-                        # d omega(diffs_i, zeta_a) / d u_jb via Q_j
-                        for b in range(m):
-                            J[r, j * m + b] += drho[i, j] * float(
-                                rows[j][b][0::2] @ zeta[1::2] - rows[j][b][1::2] @ zeta[0::2]
-                            )
-                # through zeta_a(u_i)
-                for b in range(m):
-                    eta = hesses[i][:, a, b]
-                    J[r, i * m + b] += float(diffs[i][0::2] @ eta[1::2] - diffs[i][1::2] @ eta[0::2])
-                # through z1
-                J[r, n * m :] += -dsigma[i] * Jz
-        return J
+        R = np.array([spec.tangent_basis(u) for u in U])  # (n, m, dim)
+        Hs = np.array([spec.embed_hessian(u) for u in U])  # (n, dim, m, m)
+        diffs = D @ pts + np.outer(dsigma, z1)
+        Rx, Ry = R[..., 0::2], R[..., 1::2]
+        # through Q_j: D[i, j] omega(zeta_jb, zeta_ia) at [i, a, j, b]
+        dU = D[:, None, :, None] * (np.einsum("jbk,iak->iajb", Rx, Ry) - np.einsum("jbk,iak->iajb", Ry, Rx))
+        # through zeta_ia(u_i): omega(z_{i+1} - z_i, d zeta_ia / d u_ib)
+        diag = np.arange(n)
+        dU[diag, :, diag, :] += np.einsum("ik,ikab->iab", diffs[:, 0::2], Hs[:, 1::2]) - np.einsum(
+            "ik,ikab->iab", diffs[:, 1::2], Hs[:, 0::2]
+        )
+        JR = np.empty_like(R)
+        JR[..., 0::2], JR[..., 1::2] = -Ry, Rx
+        dz1 = -dsigma[:, None, None] * JR  # through z_1
+        closure = (C[n][:, None, None] * R).reshape(n * m, dim).T  # no z_1 columns: it cancels
+        return np.block([
+            [closure, np.zeros((dim, dim))],
+            [dU.reshape(n * m, n * m), dz1.reshape(n * m, dim)],
+        ])
 
     zscale = max(1.0, float(np.max(np.abs(spec.embed(np.full(m, 0.5 * (lo + hi)))))))
 
@@ -708,8 +665,7 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
     for U, z1 in results:
         if any(_params_close(_canonical_shift(U), _canonical_shift(f.params), angular) for f in found):
             continue
-        pts = np.array([spec.embed(u) for u in U])
-        Z = _reflect_chain(z1, pts)
+        Z = C @ np.array([spec.embed(u) for u in U]) + np.outer(sigma, z1)
         res = _orbit_residual(spec, U, Z)
         orb = make_orbit(Z[:-1], "periodic", max_residual=res)
         found.append(FoundOrbit(orb, U, orb.area, 0.0))

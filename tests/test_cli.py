@@ -78,10 +78,28 @@ class TestConfigHandling:
         assert rc == 3
 
     def test_bad_tolerances_key_rejected(self, capsys):
-        rc, _, err = run(
-            ["step", "--manifold", man(CIRCLE), "--z", "2,0", "--tolerances", '{"slack": 1}'], capsys
-        )
+        for tols in ('{"slack": 1}', '{"dedup": 1e-6}'):
+            rc, _, err = run(["step", "--manifold", man(CIRCLE), "--z", "2,0", "--tolerances", tols], capsys)
+            assert rc == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["step", "--manifold", man(CIRCLE), "--z", "2,0", "--grid", "0"],
+            ["step", "--manifold", man(CIRCLE), "--z", "2,0", "--tolerances", "5"],
+            ["step", "--manifold", man(CIRCLE), "--z", "2,0", "--tolerances", '{"residual": -1}'],
+            ["step", "--manifold", man(CIRCLE), "--z", "2,0", "--tolerances", '{"residual": NaN}'],
+            ["classify", "--coeffs", "0,1,1,0", "--trials", "0"],
+            ["classify", "--coeffs", "0,1,1,0", "--trials", "-3"],
+            ["iterate", "--manifold", man(CIRCLE), "--z", "2,0", "--steps", "-5"],
+        ],
+        ids=["grid-0", "tolerances-number", "tolerance-negative", "tolerance-nan", "trials-0", "trials-negative",
+             "steps-negative"],
+    )
+    def test_out_of_range_value_rejected(self, argv, capsys):
+        rc, _, err = run(argv, capsys)
         assert rc == 3
+        assert json.loads(err)["error"]["code"] == "config"
 
     def test_manifold_required(self, capsys):
         rc, _, err = run(["step", "--z", "2,0"], capsys)

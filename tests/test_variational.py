@@ -139,6 +139,17 @@ class TestMakeOrbit:
         assert not osbk.make_orbit(small, "periodic").degenerate
         assert osbk.make_orbit(big, "periodic").degenerate
 
+    def test_even_search_noise_gap_is_degenerate(self):
+        # Chebyshev 4-orbit from even-search at seed 3181222872: the four midpoints
+        # coincide to the sqrt(eps) accuracy a singular least-squares solve reaches.
+        Z = np.array([
+            [21.131695530873696, 22.543700013609577, -7.859326800928149, -1.9944289967431155],
+            [-19.765664215934585, -24.004507477516345, 7.725368354322421, -0.001079744050314524],
+            [21.13169550883014, 22.543699992996192, -7.859326861152519, -1.994428992700254],
+            [-19.765664242464062, -24.004507502324607, 7.725368281842237, -0.0010797391847183757],
+        ])
+        assert osbk.make_orbit(Z, "periodic").degenerate
+
 
 class TestGradients:
     @pytest.mark.parametrize("kind", ["periodic", "boundary"])
