@@ -62,7 +62,7 @@ class FlatObjectiveError(OsbkError):
 @dataclass(frozen=True)
 class Param:
     name: str
-    kind: str  # int | float | str | floats | points | json
+    kind: str  # int | str | floats | points | json
     default: Any
     help: str
     required: bool = False
@@ -136,16 +136,16 @@ def _coerce(p: Param, raw: Any) -> Any:
             if p.low is not None and raw < p.low:
                 raise ConfigError(f"parameter '{p.name}' must be >= {p.low}")
             return int(raw)
-        if p.kind == "float":
-            return float(raw)
         if p.kind == "str":
             if not isinstance(raw, str):
                 raise ValueError
             return raw
-        if p.kind == "floats":
-            return [float(v) for v in raw]
-        if p.kind == "points":
-            return [[float(v) for v in row] for row in raw]
+        if p.kind in ("floats", "points"):
+            vals = [[float(v) for v in row] for row in raw] if p.kind == "points" else [float(v) for v in raw]
+            flat = [v for row in vals for v in row] if p.kind == "points" else vals
+            if not all(math.isfinite(v) for v in flat):
+                raise ConfigError(f"parameter '{p.name}' must hold finite numbers")
+            return vals
         if p.kind == "json":
             if not isinstance(raw, dict):
                 raise ValueError
@@ -158,8 +158,6 @@ def _coerce(p: Param, raw: Any) -> Any:
 def _parse_flag(p: Param, text: str) -> Any:
     if p.kind == "int":
         return int(text)
-    if p.kind == "float":
-        return float(text)
     if p.kind == "str":
         return text
     if p.kind == "floats":
@@ -332,6 +330,8 @@ def _run_step(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict,
 
 
 def _iterate_curve(spec: ManifoldSpec, z0: np.ndarray, steps: int, branch: int, grid: int) -> np.ndarray:
+    if branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
     trig = spec.as_trig
     pts = [z0]
     z = z0
@@ -340,9 +340,7 @@ def _iterate_curve(spec: ManifoldSpec, z0: np.ndarray, steps: int, branch: int, 
         best = None
         for c in cands:
             t = float(np.atleast_1d(c.midpoint_param)[0])
-            score = float(np.dot(c.partner - z, trig.deriv(t, 1)))
-            if branch < 0:
-                score = -score
+            score = branch * float(np.dot(c.partner - z, trig.deriv(t, 1)))
             if score > 0 and (best is None or score > best[0]):
                 best = (score, c)
         if best is None:
@@ -358,7 +356,7 @@ def _run_iterate(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[di
         z_local = spec.transform.inverse()(z) if spec.transform else z
         pts = correspondence.iterate_ellipsoid(spec.table, z_local, p["steps"], branch=p["branch"])
         if spec.transform:
-            pts = np.array([spec.transform(row) for row in pts])
+            pts = spec.transform(pts)
     elif spec.is_curve:
         pts = _iterate_curve(spec, z, p["steps"], p["branch"], p["grid"])
     else:
@@ -533,31 +531,19 @@ def _run_integrability(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tu
         graph = spec.table
         lo, hi = graph.box
         rng_pairs = task_rng(seed, 2)
-        drift = np.zeros(len(ints.evaluators))
-        worst = (0, 0.0)
-        signs = {"-": 0.0, "+": 0.0}
-        rows = []
-        for k in range(p["pairs"]):
+        chords = []
+        for _ in range(p["pairs"]):
             q = rng_pairs.uniform(lo, hi, graph.n)
             w = rng_pairs.uniform(-1.0, 1.0, graph.n)
             while float(np.linalg.norm(w)) < 1e-3:
                 w = rng_pairs.uniform(-1.0, 1.0, graph.n)
-            g, H = graph.grad(q), graph.hess(q)
-            A = np.empty(dim)
-            B = np.empty(dim)
-            A[0::2], A[1::2] = q + w, g + H @ w
-            B[0::2], B[1::2] = q - w, g - H @ w
-            rep = integrability.audit_invariance(spec, ints, [A, B])
-            drift = np.maximum(drift, rep.max_drift)
-            if rep.worst_drift > worst[1]:
-                worst = (k, rep.worst_drift)
-            signs["-"] = max(signs["-"], rep.mismatch_minus if rep.mismatch_minus is not None else 0.0)
-            signs["+"] = max(signs["+"], rep.mismatch_plus if rep.mismatch_plus is not None else 0.0)
-            rows.append([k, *rep.max_drift])
-        audit = integrability.AuditReport(
-            drift, worst[0], worst[1], p["pairs"],
-            "-" if signs["-"] <= signs["+"] else "+", signs["-"], signs["+"],
-        )
+            g, Hw = graph.grad(q), graph.hess(q) @ w
+            A, B = np.empty(dim), np.empty(dim)
+            A[0::2], A[1::2] = q + w, g + Hw
+            B[0::2], B[1::2] = q - w, g - Hw
+            chords.append((A, B))
+        audit = integrability.audit_chords(spec, ints, chords)
+        rows = [[k, *drift] for k, drift in enumerate(audit.chord_drift)]
         series["drift"] = (["step"] + names, rows)
         extra = {"pairs": p["pairs"]}
     result = {
@@ -574,7 +560,7 @@ def _run_integrability(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tu
 
 def _auto_probes(spec: ManifoldSpec, count: int, seed: int) -> list[np.ndarray]:
     pts = sample_params(spec, per_dim=32)
-    X = np.array([spec.embed(u) for u in pts])
+    X = spec.embed(pts)
     lo, hi = X.min(axis=0), X.max(axis=0)
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo) + 1.0
     rng = task_rng(seed, 3)

@@ -175,7 +175,8 @@ class AffineSymplectic:
         return cls(np.eye(dim), np.zeros(dim), _checked=True)
 
     def __call__(self, z) -> np.ndarray:
-        return self.S @ np.asarray(z, dtype=float) + self.b
+        """Image of one point (2d,) or of a stack of points (N, 2d)."""
+        return np.asarray(z, dtype=float) @ self.S.T + self.b
 
     def apply_vector(self, v) -> np.ndarray:
         """Push forward a tangent vector (linear part only)."""

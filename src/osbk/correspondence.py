@@ -82,15 +82,18 @@ def reflect(z, Q) -> np.ndarray:
 
 
 def orthogonality_residual(delta: np.ndarray, tangent_rows: np.ndarray) -> float:
-    """max_a |omega(delta, zeta_a)| / (|delta| |zeta_a|) over tangent rows."""
+    """max_a |omega(delta, zeta_a)| / (|delta| |zeta_a|) over tangent rows.
+
+    A stack of chords (N, 2d) with their rows (N, m, 2d) gives the max over
+    the stack; a zero chord counts 0.
+    """
     delta = np.asarray(delta, dtype=float)
-    rows = np.atleast_2d(np.asarray(tangent_rows, dtype=float))
-    dn = float(np.linalg.norm(delta))
-    if dn == 0.0:
-        return 0.0
-    vals = rows[:, 1::2] @ delta[0::2] - rows[:, 0::2] @ delta[1::2]
-    norms = np.linalg.norm(rows, axis=1)
-    return float(np.max(np.abs(vals) / (dn * norms)))
+    rows = np.asarray(tangent_rows, dtype=float).reshape(delta.shape[:-1] + (-1, delta.shape[-1]))
+    vals = np.einsum("...ak,...k->...a", rows[..., 1::2], delta[..., 0::2]) - np.einsum(
+        "...ak,...k->...a", rows[..., 0::2], delta[..., 1::2]
+    )
+    scale = np.linalg.norm(delta, axis=-1)[..., None] * np.linalg.norm(rows, axis=-1)
+    return float(np.max(np.divide(np.abs(vals), scale, out=np.zeros_like(vals), where=scale > 0.0)))
 
 
 def _build_candidate(

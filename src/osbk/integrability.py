@@ -5,16 +5,17 @@ x_j^2 + y_j^2 (orbits live on Lagrangian tori), and graphs of homogeneous
 cubics conserve all n components of P - grad F(Q). Both sets are polynomial,
 so gradients are exact and Poisson brackets carry no finite-difference noise.
 
-The invariance audit walks an orbit step by step in O(1) memory and, for
-cubic graphs, also checks the endpoint value against the half tensor form
-(1/2) third F(q)[w, w]. The Taylor expansion of grad F(q +/- w) fixes the
-sign of that identity to minus; the audit records which sign the data
-actually matched instead of hard-coding a convention.
+The invariance audit records the drift of every chord (consecutive orbit
+points, or any pairs) and, for cubic graphs, also checks the endpoint value
+against the half tensor form (1/2) third F(q)[w, w]. The Taylor expansion of
+grad F(q +/- w) fixes the sign of that identity to minus; the audit records
+which sign the data actually matched instead of hard-coding a convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, pairwise
 from typing import Iterable
 
 import numpy as np
@@ -107,15 +108,28 @@ def poisson_bracket(f, g, z) -> float:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Per-integral worst drift over an orbit, plus the tensor-form sign check."""
+    """Per-chord drift of every integral, plus the tensor-form sign check."""
 
-    max_drift: np.ndarray
-    worst_step: int
-    worst_drift: float
-    steps: int
+    chord_drift: np.ndarray  # (steps, integrals): |I(B) - I(A)| of each chord
     matched_sign: str | None
     mismatch_minus: float | None
     mismatch_plus: float | None
+
+    @property
+    def steps(self) -> int:
+        return len(self.chord_drift)
+
+    @property
+    def max_drift(self) -> np.ndarray:
+        return self.chord_drift.max(axis=0, initial=0.0)
+
+    @property
+    def worst_step(self) -> int:
+        return int(np.argmax(self.chord_drift.max(axis=1))) if self.steps else 0
+
+    @property
+    def worst_drift(self) -> float:
+        return float(self.chord_drift.max(initial=0.0))
 
     def as_dict(self) -> dict:
         return {
@@ -148,43 +162,44 @@ def audit_invariance(spec: ManifoldSpec, integrals: IntegralSet, orbit: Iterable
     """Max |I(z_{k+1}) - I(z_k)| per integral over an orbit of verified steps.
 
     ``orbit`` is a sequence of phase points or of step candidates (chained by
-    their partners). For cubic graphs every step also compares the endpoint
-    values against +/- (1/2) third F(q)[w, w] at the step's midpoint offset;
-    steps whose midpoint is off the graph, and degenerate steps with w = 0,
-    are left out of that comparison.
+    their partners); its consecutive points are the chords of :func:`audit_chords`.
     """
     pts = _orbit_points(orbit)
-    try:
-        prev = next(pts)
-    except StopIteration:
-        raise ValueError("orbit must contain at least one point") from None
+    first = next(pts, None)
+    if first is None:
+        raise ValueError("orbit must contain at least one point")
+    return audit_chords(spec, integrals, pairwise(chain([first], pts)))
+
+
+def audit_chords(spec: ManifoldSpec, integrals: IntegralSet, chords: Iterable) -> AuditReport:
+    """|I(B) - I(A)| per integral for each chord (A, B) of the correspondence.
+
+    For cubic graphs every chord also compares I(A) against +/- (1/2) third
+    F(q)[w, w] at the chord's midpoint offset w; chords whose midpoint is off
+    the graph, and degenerate chords with w = 0, are left out of that
+    comparison.
+    """
     graph = spec.table if integrals.kind == "cubic-graph" else None
-    vals_prev = integrals.values(prev)
-    max_drift = np.zeros(len(integrals.evaluators))
-    worst_step, worst_drift = 0, 0.0
-    steps = 0
+    drift = []
     mis_minus, mis_plus, audited = 0.0, 0.0, 0
-    for z in pts:
-        vals = integrals.values(z)
-        drift = np.abs(vals - vals_prev)
-        max_drift = np.maximum(max_drift, drift)
-        big = float(np.max(drift))
-        if big > worst_drift:
-            worst_step, worst_drift = steps, big
+    prev = vals_prev = None
+    for A, B in chords:
+        vals_a = vals_prev if A is prev else integrals.values(A)  # consecutive chords share a point
+        prev, vals_prev = B, integrals.values(B)
+        drift.append(np.abs(vals_prev - vals_a))
         if graph is not None:
-            mid = 0.5 * (prev + z)
+            A, B = as_phase_vector(A), as_phase_vector(B)
+            mid = 0.5 * (A + B)
             q = mid[0::2]
-            w = prev[0::2] - q
+            w = A[0::2] - q
             gq = graph.grad(q)
             on_graph = float(np.max(np.abs(gq - mid[1::2]))) <= 1e-8 * max(1.0, float(np.max(np.abs(gq))))
             if on_graph and float(np.linalg.norm(w)) > 1e-12:
                 half = 0.5 * np.einsum("ijk,j,k->i", graph.third(q), w, w)
-                mis_minus = max(mis_minus, float(np.max(np.abs(vals_prev + half))))
-                mis_plus = max(mis_plus, float(np.max(np.abs(vals_prev - half))))
+                mis_minus = max(mis_minus, float(np.max(np.abs(vals_a + half))))
+                mis_plus = max(mis_plus, float(np.max(np.abs(vals_a - half))))
                 audited += 1
-        prev, vals_prev = z, vals
-        steps += 1
+    drift = np.reshape(drift, (len(drift), len(integrals.evaluators)))
     if graph is not None and audited > 0:
-        sign = "-" if mis_minus <= mis_plus else "+"
-        return AuditReport(max_drift, worst_step, worst_drift, steps, sign, mis_minus, mis_plus)
-    return AuditReport(max_drift, worst_step, worst_drift, steps, None, None, None)
+        return AuditReport(drift, "-" if mis_minus <= mis_plus else "+", mis_minus, mis_plus)
+    return AuditReport(drift, None, None, None)

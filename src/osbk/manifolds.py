@@ -16,6 +16,11 @@ symplectic transform and provides the uniform embed / tangent / second
 derivative interface used by the solvers, the genericity checkers
 (:func:`check_condition_L`, :func:`check_condition_LL`) and the curve
 convexity profile.
+
+The evaluators take one parameter (m,) or a stack (N, m) and prepend N to
+their result: ``embed`` gives (N, 2d), ``tangent_basis`` (N, m, 2d) and
+``embed_hessian`` (N, 2d, m, m). A stack is one array computation, so callers
+evaluate a whole polygon or sample grid at once instead of point by point.
 """
 
 from __future__ import annotations
@@ -29,17 +34,11 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import poly as _poly
-from .core import (
-    AffineLagrangian,
-    AffineSymplectic,
-    GEOMETRIC_TOL,
-    interleave,
-    omega_pairwise,
-    scale_tol,
-)
+from .core import AffineLagrangian, AffineSymplectic, GEOMETRIC_TOL, omega_pairwise
 from .errors import ConfigError, ImmersionError
 
 TWO_PI = 2.0 * math.pi
+MIN_SINGULAR_VALUE = 1e-8  # below this a tangent space counts as rank deficient
 
 # term of one ambient coordinate: (frequency vector, cos amplitude, sin amplitude)
 TrigTerm = tuple[tuple[int, ...], float, float]
@@ -100,79 +99,74 @@ class TrigImmersion:
                 if len(f) != self.m:
                     raise ValueError(f"frequency vector {f} does not match m={self.m}")
         object.__setattr__(self, "coeffs", coeffs)
-        # flat arrays for vectorized evaluation
-        coord_idx, freqs, cas, sas = [], [], [], []
+        # one dense table: the K distinct frequencies, and per coordinate the
+        # amplitudes of their cosines (first K columns) and sines (last K)
+        freqs = sorted({f for terms in coeffs for f, _, _ in terms})
+        col = {f: i for i, f in enumerate(freqs)}
+        amp = np.zeros((len(coeffs), 2 * len(freqs)))
         for k, terms in enumerate(coeffs):
             for f, ca, sa in terms:
-                coord_idx.append(k)
-                freqs.append(f)
-                cas.append(ca)
-                sas.append(sa)
-        object.__setattr__(self, "_coord", np.array(coord_idx, dtype=int))
-        object.__setattr__(self, "_freq", np.array(freqs, dtype=float).reshape(len(freqs), self.m))
-        object.__setattr__(self, "_ca", np.array(cas, dtype=float))
-        object.__setattr__(self, "_sa", np.array(sas, dtype=float))
+                amp[k, [col[f], len(freqs) + col[f]]] = ca, sa
+        freq = np.array(freqs, dtype=float).reshape(len(freqs), self.m)
+        amp.flags.writeable = freq.flags.writeable = False
+        object.__setattr__(self, "_freq", freq)
+        object.__setattr__(self, "_amp", amp)
+        object.__setattr__(self, "_tables", {})
         if self.check:
             self._check_immersion()
 
-    # -- evaluation --------------------------------------------------------
+    # -- evaluation: one parameter (m,) or a stack (N, m) ------------------
 
     @property
     def ambient_dim(self) -> int:
         return len(self.coeffs)
 
-    def value(self, u) -> np.ndarray:
+    def _order_table(self, order: int) -> np.ndarray:
+        """(2K, 2d * m^order) map from the phases' (cos, sin) to all order-th partials."""
+        table = self._tables.get(order)
+        if table is None:
+            K = self._freq.shape[0]
+            A = self._amp
+            for _ in range(order % 4):  # d/dphase of (ca cos + sa sin) has amplitudes (sa, -ca)
+                A = np.concatenate([A[:, K:], -A[:, :K]], axis=1)
+            F = np.concatenate([self._freq, self._freq])
+            P = np.ones((2 * K, 1))  # frequency products, one column per partial
+            for _ in range(order):
+                P = (P[:, :, None] * F[:, None, :]).reshape(2 * K, -1)
+            table = (A.T[:, :, None] * P[:, None, :]).reshape(2 * K, -1)
+            table.flags.writeable = False
+            self._tables[order] = table
+        return table
+
+    def _partials(self, u, order: int) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.shape != (self.m,):
-            raise ValueError(f"parameter must have shape ({self.m},), got {u.shape}")
-        phase = self._freq @ u
-        contrib = self._ca * np.cos(phase) + self._sa * np.sin(phase)
-        out = np.zeros(self.ambient_dim)
-        np.add.at(out, self._coord, contrib)
-        return out
+        if u.ndim > 2 or u.shape[-1] != self.m:
+            raise ValueError(f"parameter must have shape ({self.m},) or (N, {self.m}), got {u.shape}")
+        phase = u @ self._freq.T
+        out = np.concatenate([np.cos(phase), np.sin(phase)], axis=-1) @ self._order_table(order)
+        return out.reshape(u.shape[:-1] + (self.ambient_dim,) + (self.m,) * order)
+
+    def value(self, u) -> np.ndarray:
+        return self._partials(u, 0)
 
     def jacobian(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        phase = self._freq @ u
-        d_amp = self._sa * np.cos(phase) - self._ca * np.sin(phase)  # d/dphase
-        out = np.zeros((self.ambient_dim, self.m))
-        np.add.at(out, self._coord, d_amp[:, None] * self._freq)
-        return out
+        return self._partials(u, 1)
 
     def hessian(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        phase = self._freq @ u
-        amp = self._ca * np.cos(phase) + self._sa * np.sin(phase)
-        ff = self._freq[:, :, None] * self._freq[:, None, :]
-        out = np.zeros((self.ambient_dim, self.m, self.m))
-        np.add.at(out, self._coord, -amp[:, None, None] * ff)
-        return out
+        return self._partials(u, 2)
 
     # -- curves (m = 1) ----------------------------------------------------
-
-    def _rotated(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ca, sa) arrays of the order-th t-derivative, exact."""
-        ca, sa = self._ca.copy(), self._sa.copy()
-        f = self._freq[:, 0]
-        for _ in range(order):
-            ca, sa = sa * f, -ca * f
-        return ca, sa
 
     def curve_batch(self, ts, order: int = 0) -> np.ndarray:
         """Evaluate the order-th derivative at many parameters; shape (N, 2d)."""
         if self.m != 1:
             raise ValueError("curve_batch requires a curve (m = 1)")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ca, sa = self._rotated(order)
-        phase = np.outer(ts, self._freq[:, 0])
-        contrib = ca * np.cos(phase) + sa * np.sin(phase)
-        out = np.zeros((ts.size, self.ambient_dim))
-        np.add.at(out.T, self._coord, contrib.T)
-        return out
+        return self._partials(ts[:, None], order).reshape(ts.size, self.ambient_dim)
 
     def deriv(self, t: float, order: int = 0) -> np.ndarray:
         """Exact order-th derivative of a curve at a single parameter."""
-        return self.curve_batch([float(t)], order)[0]
+        return self.curve_batch(float(t), order)[0]
 
     # -- structure ---------------------------------------------------------
 
@@ -193,17 +187,24 @@ class TrigImmersion:
                 new_terms[i].append(((0,) * self.m, T.b[i], 0.0))
         return TrigImmersion(self.m, tuple(tuple(t) for t in new_terms), check=False)
 
-    def _check_immersion(self, min_sv: float = 1e-8) -> None:
+    def _check_immersion(self) -> None:
         per_dim = {1: 256, 2: 24, 3: 12}.get(self.m, 8)
         axes = [(np.arange(per_dim) + 0.5) * TWO_PI / per_dim for _ in range(self.m)]
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
-        for u in pts:
-            sv = np.linalg.svd(self.jacobian(u), compute_uv=False)
-            if sv[-1] <= min_sv:
-                raise ImmersionError(
-                    f"Jacobian rank deficient at parameter {np.round(u, 6)} (min singular value {sv[-1]:.2e})"
-                )
+        _require_full_rank(self.jacobian(pts), pts)
+
+
+def _require_full_rank(J: np.ndarray, u: np.ndarray) -> None:
+    """Raise naming the first parameter of ``u`` whose Jacobian in ``J`` (..., 2d, m) is rank deficient."""
+    sv = np.linalg.svd(J, compute_uv=False)[..., -1].ravel()
+    bad = np.flatnonzero(sv <= MIN_SINGULAR_VALUE)
+    if bad.size:
+        k = bad[0]
+        first = np.reshape(u, (sv.size, -1))[k]
+        raise ImmersionError(
+            f"tangent space rank deficient at parameter {np.round(first, 6)} (min singular value {sv[k]:.2e})"
+        )
 
 
 # -- product-to-sum expansion (used to build tori and ellipsoid charts) ----
@@ -398,38 +399,46 @@ class GeneratingGraph:
     def third_polys(self) -> list[list[list[_poly.Poly]]]:
         return _poly.third_polys(self.F)
 
+    # grad, hess, third, embed and tangent_rows take q (n,) or a stack (..., n)
+
     def grad(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        return np.array([g(q) for g in self.grad_polys])
+        g = np.empty(q.shape)
+        for i, p in enumerate(self.grad_polys):
+            g[..., i] = p(q)
+        return g
 
     def hess(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         n = self.n
-        H = np.empty((n, n))
+        H = np.empty(q.shape[:-1] + (n, n))
         for i in range(n):
             for j in range(i, n):
-                H[i, j] = H[j, i] = self.hess_polys[i][j](q)
+                H[..., i, j] = H[..., j, i] = self.hess_polys[i][j](q)
         return H
 
     def third(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         n = self.n
-        T = np.empty((n, n, n))
+        T = np.empty(q.shape[:-1] + (n, n, n))
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    T[i, j, k] = self.third_polys[i][j][k](q)
+                    T[..., i, j, k] = self.third_polys[i][j][k](q)
         return T
 
     def embed(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        return interleave(q, self.grad(q))
+        z = np.empty(q.shape[:-1] + (self.ambient_dim,))
+        z[..., 0::2], z[..., 1::2] = q, self.grad(q)
+        return z
 
     def tangent_rows(self, q) -> np.ndarray:
         """(n, 2n) rows d embed / d q_a = (e_a, hess F(q) e_a), interleaved."""
-        rows = np.empty((self.n, self.ambient_dim))
-        rows[:, 0::2] = np.eye(self.n)
-        rows[:, 1::2] = self.hess(q).T
+        H = self.hess(q)
+        rows = np.empty(H.shape[:-1] + (self.ambient_dim,))
+        rows[..., 0::2] = np.eye(self.n)
+        rows[..., 1::2] = np.swapaxes(H, -1, -2)
         return rows
 
     def is_homogeneous_cubic(self) -> bool:
@@ -504,33 +513,28 @@ class ManifoldSpec:
         z = self.table.embed(u)
         return self.transform(z) if self.transform else z
 
-    def tangent_basis(self, u, min_sv: float = 1e-8) -> np.ndarray:
-        """Rows are the parameter-derivative vectors at u; checked for full rank."""
+    def tangent_basis(self, u) -> np.ndarray:
+        """Rows are the parameter-derivative vectors at u, shape (m, 2d); checked for full rank."""
         trig = self.as_trig
         if trig is not None:
             Jc = trig.jacobian(u)
         else:
-            Jc = self.table.tangent_rows(u).T
+            Jc = np.swapaxes(self.table.tangent_rows(u), -1, -2)
             if self.transform:
                 Jc = self.transform.S @ Jc
-        sv = np.linalg.svd(Jc, compute_uv=False)
-        if sv[-1] <= min_sv:
-            raise ImmersionError(f"tangent space rank deficient at parameter {np.round(np.atleast_1d(u), 6)}")
-        return Jc.T
+        _require_full_rank(Jc, u)
+        return np.swapaxes(Jc, -1, -2)
 
     def embed_hessian(self, u) -> np.ndarray:
         """Second parameter derivatives, shape (2d, m, m), exact."""
         trig = self.as_trig
         if trig is not None:
             return trig.hessian(u)
-        g: GeneratingGraph = self.table
-        q = np.asarray(u, dtype=float)
-        T = g.third(q)
-        n = g.n
-        out = np.zeros((g.ambient_dim, n, n))
-        out[1::2, :, :] = T  # x-parts are linear in q, y-parts carry grad F
+        T = self.table.third(u)
+        out = np.zeros(T.shape[:-3] + (self.ambient_dim,) + T.shape[-2:])
+        out[..., 1::2, :, :] = T  # x-parts are linear in q, y-parts carry grad F
         if self.transform:
-            out = np.einsum("ij,jab->iab", self.transform.S, out)
+            out = np.einsum("ij,...jab->...iab", self.transform.S, out)
         return out
 
 
@@ -583,7 +587,7 @@ def check_condition_L(spec: ManifoldSpec, samples: int = 512, tol: float | None 
     means no witness was found at this resolution (one-sided check).
     """
     pts = sample_params(spec, per_dim=samples)
-    X = np.array([spec.embed(u) for u in pts])
+    X = spec.embed(pts)
     V = X[1:] - X[0]
     if V.shape[0] < 2:
         return ConditionLReport(False, None, pts.shape[0])
@@ -612,8 +616,8 @@ def check_condition_LL(
     to its chord: true per probe iff some sample x and tangent zeta give
     |omega(x - P, zeta)| above tolerance. One-sided, like condition (L)."""
     pts = sample_params(spec, per_dim=samples)
-    X = np.array([spec.embed(u) for u in pts])
-    T = np.array([spec.tangent_basis(u) for u in pts])  # (N, m, 2d)
+    X = spec.embed(pts)
+    T = spec.tangent_basis(pts)  # (N, m, 2d)
     verdicts: list[bool] = []
     witnesses: list[tuple[np.ndarray, int, float] | None] = []
     for P in probes:

@@ -59,8 +59,7 @@ class MidpointPolygon:
     @classmethod
     def from_params(cls, spec: ManifoldSpec, params) -> "MidpointPolygon":
         params = np.atleast_2d(np.asarray(params, dtype=float))
-        pts = np.array([spec.embed(u) for u in params])
-        return cls(pts, params)
+        return cls(spec.embed(params), params)
 
     @property
     def n(self) -> int:
@@ -69,10 +68,10 @@ class MidpointPolygon:
     def validate_against(self, spec: ManifoldSpec, tol: float = 1e-12) -> None:
         if self.params is None:
             raise ValueError("polygon carries no parameters")
-        for u, p in zip(self.params, self.points):
-            err = float(np.max(np.abs(spec.embed(u) - p)))
-            if err > tol:
-                raise ValueError(f"point does not match embed(param): error {err:.2e}")
+        errs = np.max(np.abs(spec.embed(self.params) - self.points), axis=1)
+        bad = np.flatnonzero(errs > tol)
+        if bad.size:
+            raise ValueError(f"point does not match embed(param): error {errs[bad[0]]:.2e}")
 
 
 @dataclass(frozen=True)
@@ -261,12 +260,12 @@ def grad_gen_fun(spec: ManifoldSpec, Q: MidpointPolygon, kind: str) -> list[np.n
     """Exact parameter-space gradients via the chain rule through embed."""
     if Q.params is None:
         raise ValueError("polygon must carry parameters")
-    g = ambient_gradients(Q.points, kind)
-    out = []
-    for i, u in enumerate(Q.params):
-        rows = spec.tangent_basis(u)
-        out.append(rows @ g[i])
-    return out
+    return list(_chain_rule(spec.tangent_basis(Q.params), ambient_gradients(Q.points, kind)))
+
+
+def _chain_rule(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(n, m) parameter gradients from tangent rows (n, m, 2d) and ambient gradients (n, 2d)."""
+    return np.einsum("iak,ik->ia", rows, g)
 
 
 def _recon_diff(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -279,22 +278,17 @@ def stationarity_hessian(spec: ManifoldSpec, params: np.ndarray, kind: str) -> n
     """Exact Hessian of the generating function in the stacked parameters."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
     n, m = params.shape
-    pts = np.array([spec.embed(u) for u in params])
-    rows = [spec.tangent_basis(u) for u in params]  # each (m, 2d)
-    hess = [spec.embed_hessian(u) for u in params]  # each (2d, m, m)
-    g = ambient_gradients(pts, kind)
+    R = spec.tangent_basis(params)  # (n, m, 2d)
+    g = ambient_gradients(spec.embed(params), kind)
     Dx, Dy = _recon_diff(n, kind)
-    H = np.zeros((n * m, n * m))
-    for i in range(n):
-        Xi, Yi = rows[i][:, 0::2], rows[i][:, 1::2]
-        for j in range(n):
-            Xj, Yj = rows[j][:, 0::2], rows[j][:, 1::2]
-            # zeta_a^T (d g_i / d Q_j) zeta_b with the interleaved block structure
-            B = Dy[i, j] * (Xi @ Yj.T) - Dx[i, j] * (Yi @ Xj.T)
-            H[i * m : (i + 1) * m, j * m : (j + 1) * m] += B
-        gauss = np.einsum("c,cab->ab", g[i], hess[i])
-        H[i * m : (i + 1) * m, i * m : (i + 1) * m] += gauss
-    return H
+    Rx, Ry = R[..., 0::2], R[..., 1::2]
+    # zeta_ia^T (d g_i / d Q_j) zeta_jb at [i, a, j, b], interleaved block structure
+    H = Dy[:, None, :, None] * np.einsum("iak,jbk->iajb", Rx, Ry) - Dx[:, None, :, None] * np.einsum(
+        "iak,jbk->iajb", Ry, Rx
+    )
+    diag = np.arange(n)
+    H[diag, :, diag, :] += np.einsum("ic,icab->iab", g, spec.embed_hessian(params))
+    return H.reshape(n * m, n * m)
 
 
 # -- critical-point search -------------------------------------------------------
@@ -385,17 +379,13 @@ def _search_core(
     lo, hi = spec.box
     angular = spec.params_are_angles
 
+    gen_fun = gen_fun_periodic if kind == "periodic" else gen_fun_boundary
+
     def objective(U: np.ndarray) -> float:
-        pts = np.array([spec.embed(u) for u in U])
-        return gen_fun_periodic(pts) if kind == "periodic" else gen_fun_boundary(pts)
+        return gen_fun(spec.embed(U))
 
     def gradient(U: np.ndarray) -> np.ndarray:
-        pts = np.array([spec.embed(u) for u in U])
-        g = ambient_gradients(pts, kind)
-        out = np.empty((n, m))
-        for i, u in enumerate(U):
-            out[i] = spec.tangent_basis(u) @ g[i]
-        return out
+        return _chain_rule(spec.tangent_basis(U), ambient_gradients(spec.embed(U), kind))
 
     def run_start(idx: int) -> tuple[np.ndarray, float, float] | None:
         rng = task_rng(seed, idx)
@@ -472,11 +462,7 @@ def _search_core(
 
 
 def _orbit_residual(spec: ManifoldSpec, U: np.ndarray, vertices_chain: np.ndarray) -> float:
-    worst = 0.0
-    diffs = vertices_chain[1:] - vertices_chain[:-1]
-    for i, u in enumerate(U):
-        worst = max(worst, orthogonality_residual(diffs[i], spec.tangent_basis(u)))
-    return worst
+    return orthogonality_residual(np.diff(vertices_chain, axis=0), spec.tangent_basis(U))
 
 
 def find_periodic_orbit(
@@ -493,8 +479,7 @@ def find_periodic_orbit(
         return SearchResult((), None, False, True, "flat objective: generating function is constant on M^n")
     found: list[FoundOrbit] = []
     for U, f, gn in kept:
-        pts = np.array([spec.embed(u) for u in U])
-        orb = reconstruct_periodic(pts)
+        orb = reconstruct_periodic(spec.embed(U))
         chain = np.vstack([orb.vertices, orb.vertices[0]])
         res = _orbit_residual(spec, U, chain)
         if res > 1e-8:
@@ -541,14 +526,12 @@ def find_boundary_orbit(
         flat = flat or is_flat
         n_conv += conv
         for U, f, gn in kept:
-            pts = np.array([nspec.embed(u) for u in U])
-            orb = reconstruct_boundary(pts)
+            orb = reconstruct_boundary(nspec.embed(U))
             res = _orbit_residual(nspec, U, orb.vertices)
             if res > 1e-8:
                 continue
             orb = make_orbit(orb.vertices, "boundary", max_residual=res)
-            amb = np.array([Tinv(v) for v in orb.vertices])
-            all_found.append((FoundOrbit(orb, U, f, gn, vertices_ambient=amb), sign))
+            all_found.append((FoundOrbit(orb, U, f, gn, vertices_ambient=Tinv(orb.vertices)), sign))
     if flat:
         return BoundarySearchResult((), None, None, False, True, "flat objective: G is constant on M^n", T)
     # dedup across the two mode runs
@@ -613,8 +596,7 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
 
     def residuals(vec: np.ndarray) -> np.ndarray:
         U, z1 = unpack(vec)
-        pts = np.array([spec.embed(u) for u in U])
-        R = np.array([spec.tangent_basis(u) for u in U])  # (n, m, dim)
+        pts, R = spec.embed(U), spec.tangent_basis(U)  # (n, dim), (n, m, dim)
         diffs = D @ pts + np.outer(dsigma, z1)
         # omega(z_{i+1} - z_i, zeta_ia) at [i, a]
         ortho = np.einsum("iak,ik->ia", R[..., 1::2], diffs[:, 0::2]) - np.einsum(
@@ -624,9 +606,8 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
 
     def jacobian(vec: np.ndarray) -> np.ndarray:
         U, z1 = unpack(vec)
-        pts = np.array([spec.embed(u) for u in U])
-        R = np.array([spec.tangent_basis(u) for u in U])  # (n, m, dim)
-        Hs = np.array([spec.embed_hessian(u) for u in U])  # (n, dim, m, m)
+        pts, R = spec.embed(U), spec.tangent_basis(U)  # (n, dim), (n, m, dim)
+        Hs = spec.embed_hessian(U)  # (n, dim, m, m)
         diffs = D @ pts + np.outer(dsigma, z1)
         Rx, Ry = R[..., 0::2], R[..., 1::2]
         # through Q_j: D[i, j] omega(zeta_jb, zeta_ia) at [i, a, j, b]
@@ -665,7 +646,7 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
     for U, z1 in results:
         if any(_params_close(_canonical_shift(U), _canonical_shift(f.params), angular) for f in found):
             continue
-        Z = C @ np.array([spec.embed(u) for u in U]) + np.outer(sigma, z1)
+        Z = C @ spec.embed(U) + np.outer(sigma, z1)
         res = _orbit_residual(spec, U, Z)
         orb = make_orbit(Z[:-1], "periodic", max_residual=res)
         found.append(FoundOrbit(orb, U, orb.area, 0.0))

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ._pool import parallel_map, task_rng
-from .core import apply_J, as_phase_vector, omega
+from .core import apply_J, as_phase_vector, omega, omega_pairwise
 from .errors import ConsistencyError, DegeneratePencilError, UnstableCountError
 from .manifolds import GeneratingGraph, ManifoldSpec, TrigImmersion
 from .poly import Poly
@@ -135,9 +135,8 @@ def eta_expansion_check(
     if abs(omega(c.deriv(0.0, 1), g2)) < 1e-12:
         raise ValueError("curve is not symplectically convex at t = 0")
     ts = np.geomspace(float(t_range[0]), float(t_range[1]), samples)
-    num = np.array([omega(c.deriv(t, 0) - g0, c.deriv(t, 1)) for t in ts])
-    den = np.array([omega(g2, c.deriv(t, 1)) for t in ts])
-    eta = num / den
+    d1 = c.curve_batch(ts, 1)
+    eta = omega_pairwise(c.curve_batch(ts, 0) - g0, d1) / omega_pairwise(np.broadcast_to(g2, d1.shape), d1)
     V = np.vander(ts, 3, increasing=True)  # columns 1, t, t^2 against eta/t^2
     coef, *_ = np.linalg.lstsq(V, eta / ts**2, rcond=None)
     return float(coef[0])

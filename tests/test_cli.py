@@ -92,9 +92,14 @@ class TestConfigHandling:
             ["classify", "--coeffs", "0,1,1,0", "--trials", "0"],
             ["classify", "--coeffs", "0,1,1,0", "--trials", "-3"],
             ["iterate", "--manifold", man(CIRCLE), "--z", "2,0", "--steps", "-5"],
+            ["classify", "--coeffs", "nan,0,0,1"],
+            ["classify", "--coeffs", "inf,0,0,1"],
+            ["check", "--manifold", man(CIRCLE), "--probes", "[[NaN, 0.0]]"],
+            ["iterate", "--manifold", man(CIRCLE), "--z", "2,0", "--steps", "3", "--branch", "0"],
+            ["iterate", "--manifold", man(CIRCLE), "--z", "2,0", "--steps", "3", "--branch", "7"],
         ],
         ids=["grid-0", "tolerances-number", "tolerance-negative", "tolerance-nan", "trials-0", "trials-negative",
-             "steps-negative"],
+             "steps-negative", "classify-nan", "classify-inf", "probes-nan", "branch-0", "branch-7"],
     )
     def test_out_of_range_value_rejected(self, argv, capsys):
         rc, _, err = run(argv, capsys)

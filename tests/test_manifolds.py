@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -206,6 +208,34 @@ class TestManifoldSpec:
         spec_t = osbk.spec_for(circle_spec.table, transform=T)
         u = np.array([1.234])
         assert np.allclose(spec_t.embed(u), T(circle_spec.embed(u)), atol=1e-10)
+
+
+@pytest.mark.parametrize("which", ["circle", "chebyshev", "torus", "ellipsoid", "cubic", "transformed"])
+def test_batch_matches_pointwise(which, ft_graph):
+    spec = {
+        "circle": lambda: osbk.spec_for(osbk.circle(1.5)),
+        "chebyshev": lambda: osbk.spec_for(osbk.chebyshev_curve()),
+        "torus": lambda: osbk.spec_for(osbk.sphere_torus()),
+        "ellipsoid": lambda: osbk.spec_for(osbk.SymplecticEllipsoid((1.0, 2.0))),
+        "cubic": lambda: osbk.spec_for(ft_graph),
+        "transformed": lambda: osbk.spec_for(ft_graph, random_symplectic(2, np.random.default_rng(4))),
+    }[which]()
+    U = np.random.default_rng(3).uniform(*spec.box, size=(7, spec.param_dim))
+    for evaluate, shape in (
+        (spec.embed, (spec.ambient_dim,)),
+        (spec.tangent_basis, (spec.param_dim, spec.ambient_dim)),
+        (spec.embed_hessian, (spec.ambient_dim, spec.param_dim, spec.param_dim)),
+    ):
+        batch = evaluate(U)
+        assert batch.shape == (7, *shape)
+        np.testing.assert_allclose(batch, np.array([evaluate(u) for u in U]), rtol=1e-13, atol=1e-12)
+
+
+def test_stack_with_rank_deficient_parameter_raises(ell2):
+    # the angle chart loses the second phase where its radius sin(phi) is 0
+    U = np.array([[0.3, 0.4, 0.7], [0.3, 0.4, 0.0], [1.0, 2.0, 0.5]])
+    with pytest.raises(osbk.ImmersionError, match=re.escape(str(np.round(U[1], 6)))):
+        osbk.spec_for(ell2).tangent_basis(U)
 
 
 class TestJsonRoundTrip:
