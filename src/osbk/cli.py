@@ -30,10 +30,9 @@ import numpy as np
 from . import correspondence, integrability, variational, wall
 from ._pool import task_rng
 from .core import AffineLagrangian, as_phase_vector
-from .errors import ConfigError, OsbkError
+from .errors import ConfigError, OsbkError, SearchFailedError
 from .manifolds import (
     ManifoldSpec,
-    SymplecticEllipsoid,
     coordinate_lagrangian_pair,
     check_condition_L,
     check_condition_LL,
@@ -46,10 +45,6 @@ from .wall import CubicForm2
 DEFAULT_TOLERANCES = {"residual": 1e-8}
 
 _TOP_KEYS = {"manifold", "command", "seed", "out", "tolerances"}
-
-
-class SearchFailedError(OsbkError):
-    code = "search-failed"
 
 
 class FlatObjectiveError(OsbkError):
@@ -79,7 +74,7 @@ _COMMANDS: dict[str, list[Param]] = {
     "iterate": [
         Param("z", "floats", None, "start point", True),
         Param("steps", "int", 1000, "number of correspondence steps", low=1),
-        Param("branch", "int", 1, "chord branch (+1 forward, -1 backward)"),
+        Param("branch", "int", 1, "+1 along gamma' on curves, positive root t on ellipsoids; -1 the reverse"),
         Param("grid", "int", 2048, "curve root-scan grid", low=1),
     ],
     "periodic": [
@@ -329,38 +324,8 @@ def _run_step(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict,
     return result, {"candidates": (header, rows)}
 
 
-def _iterate_curve(spec: ManifoldSpec, z0: np.ndarray, steps: int, branch: int, grid: int) -> np.ndarray:
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    trig = spec.as_trig
-    pts = [z0]
-    z = z0
-    for _ in range(steps):
-        cands = [c for c in correspondence.step_curve(trig, z, grid=grid) if not c.degenerate]
-        best = None
-        for c in cands:
-            t = float(np.atleast_1d(c.midpoint_param)[0])
-            score = branch * float(np.dot(c.partner - z, trig.deriv(t, 1)))
-            if score > 0 and (best is None or score > best[0]):
-                best = (score, c)
-        if best is None:
-            raise SearchFailedError(f"no partner in the chosen direction after {len(pts) - 1} steps")
-        z = best[1].partner
-        pts.append(z)
-    return np.array(pts)
-
-
 def _run_iterate(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict, Series]:
-    z = as_phase_vector(p["z"])
-    if spec.kind == "ellipsoid":
-        z_local = spec.transform.inverse()(z) if spec.transform else z
-        pts = correspondence.iterate_ellipsoid(spec.table, z_local, p["steps"], branch=p["branch"])
-        if spec.transform:
-            pts = spec.transform(pts)
-    elif spec.is_curve:
-        pts = _iterate_curve(spec, z, p["steps"], p["branch"], p["grid"])
-    else:
-        raise ConfigError("iterate supports ellipsoid and curve tables")
+    pts = correspondence.iterate(spec, p["z"], p["steps"], branch=p["branch"], grid=p["grid"])
     result = {
         "command": "iterate",
         "steps": int(pts.shape[0] - 1),
@@ -522,7 +487,7 @@ def _run_integrability(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tu
     if ints.kind == "ellipsoid":
         if p["z"] is None:
             raise ConfigError("integrability on an ellipsoid needs a start point z")
-        pts = correspondence.iterate_ellipsoid(spec.table, as_phase_vector(p["z"]), p["steps"], branch=p["branch"])
+        pts = correspondence.iterate(spec, p["z"], p["steps"], branch=p["branch"])
         audit = integrability.audit_invariance(spec, ints, pts)
         rows = [[k, *(e.value(z) for e in ints.evaluators)] for k, z in enumerate(pts)]
         series["drift"] = (["step"] + names, rows)

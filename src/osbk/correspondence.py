@@ -27,8 +27,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ._pool import parallel_map, task_rng
-from .core import AffineSymplectic, as_phase_vector, interleave, omega, omega_pairwise
-from .errors import DomainError, UnstableCountError
+from .core import AffineSymplectic, as_phase_vector, interleave, omega_pairwise
+from .errors import DomainError, SearchFailedError, UnstableCountError
 from .manifolds import (
     GeneratingGraph,
     ManifoldSpec,
@@ -40,6 +40,7 @@ from .manifolds import (
 )
 
 PARAM_DEDUP = 1e-6  # candidates closer than this in parameter space merge
+MAX_GRID = 1 << 17  # finest root-scan grid before the count is declared unstable
 
 
 @dataclass(frozen=True)
@@ -146,40 +147,39 @@ class CurveScan:
     history: tuple[tuple[int, int], ...]
 
 
-def _wrap_dist(a: float, b: float) -> float:
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+def _wrap_dist(a, b):  # distance on the circle, elementwise
+    d = np.abs(a - b) % TWO_PI
+    return np.minimum(d, TWO_PI - d)
 
 
-def scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048, cap: int = 1 << 17) -> CurveScan:
+def scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> CurveScan:
     """All roots of g(t) = omega(gamma(t)-z, gamma'(t)) on the circle.
 
     Sign-change roots come from a grid doubled until the count is stable under
     refinement twice in a row (else an unstable-count error with the two
-    bracketing counts). Tangential roots, which give no sign change, are found
-    separately from near-zero local minima of |g|.
+    bracketing counts), then bisected and Newton-polished all at once.
+    Tangential roots, which give no sign change, are found separately from
+    near-zero local minima of |g|.
     """
     if curve.m != 1:
         raise ValueError("root scan requires a curve (m = 1)")
     z = as_phase_vector(z)
 
-    def g(t: float) -> float:
-        return omega(curve.deriv(t, 0) - z, curve.deriv(t, 1))
-
-    def gp(t: float) -> float:
-        return omega(curve.deriv(t, 0) - z, curve.deriv(t, 2))
+    def g(ts, order: int = 1) -> np.ndarray:
+        # omega(gamma(t) - z, gamma^(order)(t)): g itself for order 1, g' for order 2
+        return omega_pairwise(curve.curve_batch(ts, 0) - z, curve.curve_batch(ts, order))
 
     history: list[tuple[int, int]] = []
     n = int(grid)
     while True:
         ts = np.arange(n) * (TWO_PI / n)
-        gv = omega_pairwise(curve.curve_batch(ts, 0) - z, curve.curve_batch(ts, 1))
+        gv = g(ts)
         sign = np.where(gv >= 0.0, 1.0, -1.0)
         flips = np.nonzero(sign * np.roll(sign, -1) < 0)[0]
         history.append((n, len(flips)))
         if len(history) >= 3 and history[-1][1] == history[-2][1] == history[-3][1]:
             break
-        if n >= cap:
+        if n >= MAX_GRID:
             lo = min(history[-1][1], history[-2][1])
             hi = max(history[-1][1], history[-2][1])
             raise UnstableCountError(
@@ -189,30 +189,24 @@ def scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048, cap: int = 1 << 
 
     h = TWO_PI / n
     gscale = max(1.0, float(np.max(np.abs(gv))))
-    roots: list[float] = []
-    for i in flips:
-        a, b = ts[i], ts[i] + h
-        fa, fb = float(gv[i]), float(gv[(i + 1) % n])
-        for _ in range(50):
+    t = a = ts[flips]
+    if flips.size:  # all brackets at once
+        fa, b = gv[flips], a + h
+        for _ in range(50):  # bisection; a bracket that hits an exact zero collapses to it
             m = 0.5 * (a + b)
             fm = g(m)
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fm < 0.0) == (fa < 0.0):
-                a, fa = m, fm
-            else:
-                b, fb = m, fm
+            left = (fm < 0.0) == (fa < 0.0)
+            a, fa = np.where(left | (fm == 0.0), m, a), np.where(left, fm, fa)
+            b = np.where(left & (fm != 0.0), b, m)
         t = 0.5 * (a + b)
-        for _ in range(4):  # Newton polish inside the bracket
-            d = gp(t)
-            if abs(d) < 1e-300:
-                break
-            t2 = t - g(t) / d
-            if not (ts[i] - h <= t2 <= ts[i] + 2 * h):
-                break
-            t = t2
-        roots.append(t % TWO_PI)
+        live = np.ones(t.shape, dtype=bool)
+        for _ in range(4):  # Newton polish; a root stops at its first step off its bracket
+            d = g(t, 2)
+            ok = np.abs(d) >= 1e-300
+            t2 = t - np.divide(g(t), d, out=np.zeros_like(d), where=ok)
+            live &= ok & (ts[flips] - h <= t2) & (t2 <= ts[flips] + 2 * h)
+            t = np.where(live, t2, t)
+    roots = t % TWO_PI
 
     # tangential roots: local minima of |g| that refine to (numerically) zero
     tangential: list[float] = []
@@ -220,36 +214,35 @@ def scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048, cap: int = 1 << 
     is_min = (absg <= np.roll(absg, 1)) & (absg <= np.roll(absg, -1)) & (absg < 1e-3 * gscale)
     for i in np.nonzero(is_min)[0]:
         res = minimize_scalar(
-            lambda t: g(t) ** 2, bounds=(ts[i] - h, ts[i] + h), method="bounded",
+            lambda s: g(s)[0] ** 2, bounds=(ts[i] - h, ts[i] + h), method="bounded",
             options={"xatol": 1e-13},
         )
         tc = float(res.x) % TWO_PI
-        if abs(g(tc)) <= 1e-9 * gscale and all(_wrap_dist(tc, r) > PARAM_DEDUP for r in roots + tangential):
+        if abs(g(tc)[0]) <= 1e-9 * gscale and np.all(_wrap_dist(tc, np.append(roots, tangential)) > PARAM_DEDUP):
             tangential.append(tc)
 
-    out: list[CurveRoot] = []
-    for t in roots:
-        d0 = curve.deriv(t, 0) - z
-        gp_scale = max(1.0, float(np.linalg.norm(d0) * np.linalg.norm(curve.deriv(t, 2))))
-        out.append(CurveRoot(t, abs(gp(t)) <= 1e-7 * gp_scale))
-    out.extend(CurveRoot(t, True) for t in tangential)
+    d0, d2 = curve.curve_batch(roots, 0) - z, curve.curve_batch(roots, 2)
+    gp_scale = np.maximum(1.0, np.linalg.norm(d0, axis=1) * np.linalg.norm(d2, axis=1))
+    flat = np.abs(omega_pairwise(d0, d2)) <= 1e-7 * gp_scale
+    out = list(map(CurveRoot, roots.tolist(), flat.tolist())) + [CurveRoot(t, True) for t in tangential]
     out.sort(key=lambda r: r.t)
     return CurveScan(tuple(out), len(flips), n, tuple(history))
 
 
-def step_curve(curve: TrigImmersion | ManifoldSpec, z, grid: int = 2048, cap: int = 1 << 17) -> list[StepCandidate]:
+def step_curve(curve: TrigImmersion | ManifoldSpec, z, grid: int = 2048) -> list[StepCandidate]:
     """All correspondence partners of z across a curve, sorted by midpoint parameter."""
     spec = curve if isinstance(curve, ManifoldSpec) else spec_for(curve)
     trig = spec.as_trig
     if trig is None or trig.m != 1:
         raise ValueError("step_curve requires a curve table")
     z = as_phase_vector(z)
-    scan = scan_curve_roots(trig, z, grid=grid, cap=cap)
-    cands = []
-    for root in scan.roots:
-        mid = trig.deriv(root.t, 0)
-        rows = trig.deriv(root.t, 1)[None, :]
-        cands.append(_build_candidate(z, mid, [root.t], rows, None, on_wall=root.tangential))
+    roots = scan_curve_roots(trig, z, grid=grid).roots
+    ts = np.array([r.t for r in roots])
+    mids, tangents = trig.curve_batch(ts, 0), trig.curve_batch(ts, 1)
+    cands = [
+        _build_candidate(z, mid, [r.t], tan[None, :], None, on_wall=r.tangential)
+        for r, mid, tan in zip(roots, mids, tangents)
+    ]
     return _dedup(cands, angular=True)
 
 
@@ -287,7 +280,7 @@ def _ellipsoid_t2(axes: Sequence[float], c: Sequence[float]) -> float:
     """Positive root s = t^2 of sum_j c_j a_j^2/(a_j^2+s) = 1.
 
     The left side is convex and decreasing in s, so Newton from s = 0
-    increases monotonically to the root.
+    increases monotonically to the root; it stops once it no longer increases.
     """
     s = 0.0
     for _ in range(80):
@@ -299,11 +292,26 @@ def _ellipsoid_t2(axes: Sequence[float], c: Sequence[float]) -> float:
             term = cj * a2 / r
             h += term
             hp -= term / r
-        step = h / hp
-        s -= step
-        if abs(step) <= 1e-16 * (1.0 + s):
+        s_next = s - h / hp
+        if not s_next > s:
             break
+        s = s_next
     return s
+
+
+def _ellipsoid_midpoint(axes: Sequence[float], x: list[float], y: list[float], branch: int) -> tuple[float, list, list]:
+    """Level sum_j (x_j^2 + y_j^2)/a_j of the source (x, y), and the midpoint (q, p) on ``branch``;
+    q and p are empty unless the level exceeds 1 + 1e-12 (a source strictly outside the ellipsoid)."""
+    c = [(xj * xj + yj * yj) / aj for aj, xj, yj in zip(axes, x, y)]
+    level = sum(c)
+    if level <= 1.0 + 1e-12:
+        return level, [], []
+    s = _ellipsoid_t2(axes, c)
+    t = branch * math.sqrt(s)
+    denom = [1.0 + s / (aj * aj) for aj in axes]
+    q = [(xj + t * yj / aj) / dj for aj, xj, yj, dj in zip(axes, x, y, denom)]
+    p = [(yj - t * xj / aj) / dj for aj, xj, yj, dj in zip(axes, x, y, denom)]
+    return level, q, p
 
 
 def _ellipsoid_tangent_rows(ell: SymplecticEllipsoid, mid: np.ndarray) -> np.ndarray:
@@ -330,17 +338,9 @@ def step_ellipsoid(
     z = as_phase_vector(z)
     if z.size != ell.ambient_dim:
         raise ValueError(f"expected a vector of length {ell.ambient_dim}, got {z.size}")
-    a = np.asarray(ell.axes)
-    x, y = z[0::2], z[1::2]
-    c = (x * x + y * y) / a
-    level = float(np.sum(c))
-    if level <= 1.0 + 1e-12:
+    level, q, p = _ellipsoid_midpoint(ell.axes, z[0::2].tolist(), z[1::2].tolist(), branch)
+    if not q:
         raise DomainError(f"source must lie strictly outside the ellipsoid (level {level:.6g}, need > 1)")
-    s = _ellipsoid_t2(ell.axes, c.tolist())
-    t = branch * math.sqrt(s)
-    denom = 1.0 + s / (a * a)
-    q = (x + t * y / a) / denom
-    p = (y - t * x / a) / denom
     mid = interleave(q, p)
     rows = _ellipsoid_tangent_rows(ell, mid)
     return _build_candidate(z, mid, ell.param_of(mid), rows, transform, branch=branch)
@@ -357,28 +357,49 @@ def iterate_ellipsoid(ell: SymplecticEllipsoid, z0, steps: int, branch: int = 1)
     z0 = as_phase_vector(z0)
     if z0.size != ell.ambient_dim:
         raise ValueError(f"expected a vector of length {ell.ambient_dim}, got {z0.size}")
-    axes = [float(a) for a in ell.axes]
-    d = len(axes)
-    xs = [float(z0[2 * j]) for j in range(d)]
-    ys = [float(z0[2 * j + 1]) for j in range(d)]
-    out = np.empty((steps + 1, 2 * d))
+    xs, ys = z0[0::2].tolist(), z0[1::2].tolist()
+    out = np.empty((steps + 1, z0.size))
     out[0] = z0
     for k in range(1, steps + 1):
-        c = [(xs[j] * xs[j] + ys[j] * ys[j]) / axes[j] for j in range(d)]
-        if sum(c) <= 1.0 + 1e-12:
-            raise DomainError(f"orbit reached the ellipsoid at step {k} (level {sum(c):.6g})")
-        s = _ellipsoid_t2(axes, c)
-        t = branch * math.sqrt(s)
-        for j in range(d):
-            aj = axes[j]
-            denom = 1.0 + s / (aj * aj)
-            qj = (xs[j] + t * ys[j] / aj) / denom
-            pj = (ys[j] - t * xs[j] / aj) / denom
-            xs[j] = 2.0 * qj - xs[j]
-            ys[j] = 2.0 * pj - ys[j]
-            out[k, 2 * j] = xs[j]
-            out[k, 2 * j + 1] = ys[j]
+        level, q, p = _ellipsoid_midpoint(ell.axes, xs, ys, branch)
+        if not q:
+            raise DomainError(f"orbit reached the ellipsoid at step {k} (level {level:.6g})")
+        xs = [2.0 * qj - xj for qj, xj in zip(q, xs)]
+        ys = [2.0 * pj - yj for pj, yj in zip(p, ys)]
+        out[k, 0::2] = xs
+        out[k, 1::2] = ys
     return out
+
+
+def iterate(spec: ManifoldSpec | Table, z0, steps: int, branch: int = 1, grid: int = 2048) -> np.ndarray:
+    """Follow one branch of the correspondence; returns the (steps+1, 2d) trajectory.
+
+    On an ellipsoid, branch +1 is the forward map of :func:`step_ellipsoid`, stepped
+    in the table frame. On a curve, branch +1 (-1) takes the non-degenerate partner
+    furthest along (against) gamma' at its midpoint, and fails when there is none.
+    """
+    spec = spec if isinstance(spec, ManifoldSpec) else spec_for(spec)
+    if branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
+    z = as_phase_vector(z0)
+    if spec.kind == "ellipsoid":
+        T = spec.transform
+        pts = iterate_ellipsoid(spec.table, T.inverse()(z) if T else z, steps, branch=branch)
+        return T(pts) if T else pts
+    if not spec.is_curve:
+        raise ValueError("iterate supports ellipsoid and curve tables")
+    trig = spec.as_trig
+    pts = [z]
+    for k in range(steps):
+        cands = [c for c in step_curve(trig, z, grid=grid) if not c.degenerate]
+        chords = np.reshape([c.partner - z for c in cands], (-1, z.size))
+        ts = np.array([c.midpoint_param[0] for c in cands])
+        score = branch * np.sum(chords * trig.curve_batch(ts, 1), axis=1)
+        if not np.any(score > 0.0):
+            raise SearchFailedError(f"no partner in the chosen direction after {k} steps")
+        z = cands[int(np.argmax(score))].partner
+        pts.append(z)
+    return np.array(pts)
 
 
 # -- Lagrangian graphs ---------------------------------------------------------
@@ -413,11 +434,9 @@ def step_cubic_graph(graph: GeneratingGraph, z, transform: AffineSymplectic | No
 def step_graph_numeric(
     graph: GeneratingGraph,
     z,
-    box: tuple[float, float] | None = None,
     starts: int = 64,
     seed: int = 0,
     transform: AffineSymplectic | None = None,
-    max_iter: int = 60,
 ) -> list[StepCandidate]:
     """Multi-start Newton enumeration of partners across any polynomial graph.
 
@@ -428,7 +447,7 @@ def step_graph_numeric(
     if z.size != graph.ambient_dim:
         raise ValueError(f"expected a vector of length {graph.ambient_dim}, got {z.size}")
     Q, W = z[0::2].copy(), z[1::2].copy()
-    lo, hi = box if box is not None else graph.box
+    lo, hi = graph.box
     n = graph.n
     span = hi - lo
     rscale = max(1.0, float(np.max(np.abs(W))), float(np.max(np.abs(Q))))
@@ -439,7 +458,7 @@ def step_graph_numeric(
     def solve_from(i: int) -> tuple[np.ndarray, bool] | None:
         rng = task_rng(seed, i)
         q = rng.uniform(lo, hi, n)
-        for _ in range(max_iter):
+        for _ in range(60):
             R = residual_vec(q)
             if not np.all(np.isfinite(R)):
                 return None

@@ -61,6 +61,12 @@ class DegeneratePencilError(OsbkError):
     code = "degenerate-pencil"
 
 
+class SearchFailedError(OsbkError):
+    """A search or an iteration found nothing that meets its conditions."""
+
+    code = "search-failed"
+
+
 class ConsistencyError(OsbkError):
     """Two independent routes to the same answer disagreed."""
 

@@ -39,6 +39,7 @@ from .errors import ConfigError, ImmersionError
 
 TWO_PI = 2.0 * math.pi
 MIN_SINGULAR_VALUE = 1e-8  # below this a tangent space counts as rank deficient
+CONVEXITY_SAMPLES = 1024  # grid of the convexity profile before local refinement
 
 # term of one ambient coordinate: (frequency vector, cos amplitude, sin amplitude)
 TrigTerm = tuple[tuple[int, ...], float, float]
@@ -647,7 +648,7 @@ class ConvexityProfile:
     convex: bool
 
 
-def symplectic_convexity_profile(curve: TrigImmersion | ManifoldSpec, samples: int = 1024) -> ConvexityProfile:
+def symplectic_convexity_profile(curve: TrigImmersion | ManifoldSpec) -> ConvexityProfile:
     """Min and max of omega(gamma'(t), gamma''(t)) over a curve, grid + local refinement.
 
     The curve is symplectically convex iff the minimum is positive.
@@ -660,20 +661,16 @@ def symplectic_convexity_profile(curve: TrigImmersion | ManifoldSpec, samples: i
     elif curve.m != 1:
         raise ValueError("convexity profile is defined for curves only")
 
-    ts = np.arange(samples) * TWO_PI / samples
-    d1 = curve.curve_batch(ts, 1)
-    d2 = curve.curve_batch(ts, 2)
-    w = omega_pairwise(d1, d2)
+    def f(ts) -> np.ndarray:
+        return omega_pairwise(curve.curve_batch(ts, 1), curve.curve_batch(ts, 2))
 
-    def f(t: float) -> float:
-        v1 = curve.deriv(t, 1)
-        v2 = curve.deriv(t, 2)
-        return float(v1[0::2] @ v2[1::2] - v1[1::2] @ v2[0::2])
+    ts = np.arange(CONVEXITY_SAMPLES) * TWO_PI / CONVEXITY_SAMPLES
+    w = f(ts)
 
     def refine(k: int, sign: float) -> tuple[float, float]:
-        h = TWO_PI / samples
+        h = TWO_PI / CONVEXITY_SAMPLES
         res = minimize_scalar(
-            lambda t: sign * f(t), bounds=(ts[k] - h, ts[k] + h), method="bounded",
+            lambda t: sign * f(t)[0], bounds=(ts[k] - h, ts[k] + h), method="bounded",
             options={"xatol": 1e-12},
         )
         return float(res.x), sign * float(res.fun)

@@ -387,6 +387,10 @@ def _search_core(
     def gradient(U: np.ndarray) -> np.ndarray:
         return _chain_rule(spec.tangent_basis(U), ambient_gradients(spec.embed(U), kind))
 
+    def left_box(U: np.ndarray) -> bool:
+        # angles wrap; graph parameters that leave the box have run away
+        return not angular and not (lo <= float(np.min(U)) and float(np.max(U)) <= hi)
+
     def run_start(idx: int) -> tuple[np.ndarray, float, float] | None:
         rng = task_rng(seed, idx)
         U = rng.uniform(lo, hi, (n, m))
@@ -410,6 +414,8 @@ def _search_core(
                 step *= 0.5
             if not accepted:
                 break
+            if left_box(U):
+                return None
         # Newton polish on the stationarity system
         for _ in range(40):
             G = gradient(U).ravel()
@@ -425,6 +431,8 @@ def _search_core(
             if not np.all(np.isfinite(delta)):
                 return None
             U = _wrap_params(U + delta.reshape(n, m), angular)
+            if left_box(U):
+                return None
         G = gradient(U)
         gn = float(np.linalg.norm(G))
         f = objective(U)

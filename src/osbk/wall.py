@@ -98,7 +98,7 @@ def curve_wall_samples(
     return out
 
 
-def multiplicity_curve(curve: TrigImmersion | ManifoldSpec, P, grid: int = 2048, cap: int = 1 << 17) -> int:
+def multiplicity_curve(curve: TrigImmersion | ManifoldSpec, P, grid: int = 2048) -> int:
     """Number of partners of P across the curve (P assumed off the wall).
 
     Root counting is refused near the wall: a tangential root means the count
@@ -106,7 +106,7 @@ def multiplicity_curve(curve: TrigImmersion | ManifoldSpec, P, grid: int = 2048,
     guess.
     """
     c = _as_curve(curve)
-    scan = scan_curve_roots(c, P, grid=grid, cap=cap)
+    scan = scan_curve_roots(c, P, grid=grid)
     count = scan.sign_change_count
     if any(r.tangential for r in scan.roots):
         raise UnstableCountError(

@@ -164,6 +164,15 @@ class TestIterate:
         assert rows[0] == "index,x1,y1,x2,y2"
         assert len(rows) == 22
 
+    def test_no_partner_is_search_failure_and_graph_is_config_error(self, capsys):
+        rc, _, err = run(["iterate", "--manifold", man(CIRCLE), "--z", "0.1,0", "--steps", "3"], capsys)
+        assert rc == 2
+        error = json.loads(err)["error"]
+        assert error == {"code": "search-failed", "message": "no partner in the chosen direction after 0 steps"}
+        rc, _, err = run(["iterate", "--manifold", man(FT), "--z", "1,0,0,0", "--steps", "3"], capsys)
+        assert rc == 3
+        assert json.loads(err)["error"]["code"] == "config"
+
 
 class TestPeriodic:
     def test_circle_triangle(self, tmp_path):
@@ -241,6 +250,12 @@ class TestShoot:
         assert rc == 0
         d = json.loads(out)
         assert d["best_max"]["objective"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_graph_runaway_starts_are_a_search_failure(self, capsys):
+        # every converged start leaves the box (-5, 5) of the cubic graph
+        rc, _, err = run(["shoot", "--manifold", man(FT), "--n", "2", "--starts", "8"], capsys)
+        assert rc == 2
+        assert json.loads(err)["error"]["code"] == "search-failed"
 
     def test_bad_lagrangian_keys_rejected(self, capsys):
         l1 = json.dumps({"base": [0.0, 0.0], "basis": [[1.0, 0.0]], "name": "x"})

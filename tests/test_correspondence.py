@@ -147,6 +147,35 @@ class TestEllipsoidStep:
         assert np.array_equal(orbit[0], z)
 
 
+class TestIterate:
+    @pytest.mark.parametrize("branch", [1, -1])
+    def test_circle_curve_route_matches_ellipsoid_route(self, branch):
+        # the unit circle is the d = 1 ellipsoid; a curve's +1 moves along gamma',
+        # the ellipsoid's +1 takes the positive root t, which is the other sense
+        z = np.array([2.0, 0.3])
+        curve = osbk.iterate(osbk.circle(), z, 6, branch=branch)
+        ell = osbk.iterate(osbk.SymplecticEllipsoid((1.0,)), z, 6, branch=-branch)
+        assert curve.shape == (7, 2)
+        assert np.allclose(curve, ell, rtol=0.0, atol=1e-9)
+
+    def test_ellipsoid_frame_equivariance(self, ell2):
+        T = random_symplectic(2, np.random.default_rng(21))
+        z = np.array([2.0, 0.3, -1.0, 2.5])
+        plain = osbk.iterate(osbk.spec_for(ell2), z, 8)
+        moved = osbk.iterate(osbk.spec_for(ell2, T), T(z), 8)
+        assert np.allclose(moved, T(plain), rtol=0.0, atol=1e-9)
+        assert np.array_equal(plain, osbk.iterate_ellipsoid(ell2, z, 8))
+
+    def test_failures(self, circle_spec, torus_spec, ft_spec):
+        with pytest.raises(osbk.SearchFailedError, match="after 0 steps"):
+            osbk.iterate(circle_spec, np.array([0.1, 0.0]), 3)
+        for spec, z in ((torus_spec, np.full(4, 3.0)), (ft_spec, np.ones(4))):
+            with pytest.raises(ValueError, match="iterate supports"):
+                osbk.iterate(spec, z, 3)
+        with pytest.raises(ValueError, match="branch"):
+            osbk.iterate(circle_spec, np.array([2.0, 0.0]), 3, branch=0)
+
+
 class TestCubicGraphStep:
     def test_frozen_two_candidates(self, ft_graph):
         z = np.array([1.0, 0.0, 0.0, 0.0])

@@ -285,6 +285,19 @@ class TestBoundarySearch:
             osbk.find_boundary_orbit(circle_spec, L1, L1, 1)
 
 
+class TestGraphSearchBox:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_orbits_lie_in_the_box(self, ft_spec, seed):
+        # on q1^2 q2 + q1 q2^2 the ascent runs away to parameters near 1e22; such starts are rejected
+        L1, L2 = osbk.coordinate_lagrangian_pair(4)
+        lo, hi = ft_spec.box
+        for res in (
+            osbk.find_boundary_orbit(ft_spec, L1, L2, 2, starts=8, seed=seed),
+            osbk.find_periodic_orbit(ft_spec, 3, starts=8, seed=seed),
+        ):
+            assert res.failed or all(np.all((lo <= o.params) & (o.params <= hi)) for o in res.orbits)
+
+
 class TestEvenSearch:
     def test_circle_squares_found(self, circle_spec):
         res = osbk.search_even_periodic(circle_spec, 4, starts=48, seed=0)
