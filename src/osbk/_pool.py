@@ -1,21 +1,16 @@
-"""Deterministic task execution and seeding.
+"""Deterministic seeding for multi-start work.
 
-Parallelism must never change results: tasks get counter-split random
-streams keyed by (master seed, task index), and outputs are merged in task
-order. ``OSBK_THREADS`` caps the worker pool; any value of the cap yields
-byte-identical artifacts.
+Start i of a search draws from ``task_rng(seed, i)``, a counter-split
+random stream keyed by (master seed, task index), so no result depends on
+how the starts are evaluated. The searches run all starts in lockstep on
+stacked arrays; there is no worker pool.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 _ENV_VAR = "OSBK_THREADS"
 
@@ -30,7 +25,13 @@ def task_rng(seed: int, task: int) -> np.random.Generator:
 
 
 def thread_count() -> int:
-    """Pool size: cpu count capped by the OSBK_THREADS environment variable."""
+    """Cpu count capped by the OSBK_THREADS environment variable.
+
+    osbk itself no longer reads this: nothing runs on threads. It stays
+    because the benchmark's tracer (``perfbench/spans.py``) looks it up by
+    name when it installs its hooks; it goes once the tracer takes its
+    counts from osbk instead.
+    """
     n = os.cpu_count() or 1
     cap = os.environ.get(_ENV_VAR)
     if cap is not None:
@@ -39,17 +40,3 @@ def thread_count() -> int:
         except ValueError:
             n = 1
     return max(1, n)
-
-
-def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Order-preserving map over a worker pool.
-
-    Results come back indexed by input order, so the merge is independent
-    of thread count and scheduling.
-    """
-    seq: Sequence[T] = list(items)
-    workers = min(thread_count(), max(1, len(seq)))
-    if workers <= 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seq))

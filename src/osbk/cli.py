@@ -12,7 +12,7 @@ Config schema (all keys optional unless a command requires them):
 
 Unknown keys anywhere are rejected. Exit codes: 0 success, 2 search or
 computation failure (machine-readable code in the error JSON), 3 config
-error. Set OSBK_THREADS to cap the worker pool; results do not depend on it.
+error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -119,6 +120,9 @@ _COMMANDS: dict[str, list[Param]] = {
 
 _NEEDS_MANIFOLD = {k for k in _COMMANDS if k != "classify"}
 
+_LIST_FLAGS = {f"--{p.name.replace('_', '-')}" for schema in _COMMANDS.values() for p in schema if p.kind == "floats"}
+_NEGATIVE_LIST = re.compile(r"-[\d.][\d.eE+\-,]*")
+
 
 # -- config handling -----------------------------------------------------------
 
@@ -161,6 +165,17 @@ def _parse_flag(p: Param, text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"flag --{p.name.replace('_', '-')} is not valid JSON: {e}") from None
+
+
+def _attach_number_lists(argv: list[str]) -> list[str]:
+    """Join ``--z -2,0`` into ``--z=-2,0``: argparse reads a separate list that starts with '-' as an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _LIST_FLAGS and _NEGATIVE_LIST.fullmatch(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _load_json_file(path: str) -> Any:
@@ -625,7 +640,7 @@ def _report_error(e: OsbkError, out: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_number_lists(sys.argv[1:] if argv is None else argv))
     out: str | None = None
     try:
         merged = _merged_config(args.cmd, args)

@@ -60,6 +60,22 @@ def omega_pairwise(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     )
 
 
+def solve_stack(A: np.ndarray, b: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each system A[k] x = b[k] of a stack (S, p, p), (S, p).
+
+    One batched SVD flags the systems whose smallest singular value is at
+    most ``rel * max(1, largest)``; those get the least-squares solution,
+    the regular ones ``np.linalg.solve``. Returns (x (S, p), singular (S,)).
+    """
+    sv = np.linalg.svd(A, compute_uv=False)
+    singular = sv[:, -1] <= rel * np.maximum(1.0, sv[:, 0])
+    x = np.empty(b.shape)
+    x[~singular] = np.linalg.solve(A[~singular], b[~singular][..., None])[..., 0]
+    for k in np.flatnonzero(singular):
+        x[k] = np.linalg.lstsq(A[k], b[k], rcond=None)[0]
+    return x, singular
+
+
 def omega_matrix(dim: int) -> np.ndarray:
     """Matrix Omega with omega(u, v) = u^T Omega v, for interleaved layout."""
     if dim % 2:

@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ._pool import parallel_map, task_rng
-from .core import AffineSymplectic, as_phase_vector, interleave, omega_pairwise
+from ._pool import task_rng
+from .core import AffineSymplectic, as_phase_vector, interleave, omega_pairwise, solve_stack
 from .errors import DomainError, SearchFailedError, UnstableCountError
 from .manifolds import (
     GeneratingGraph,
@@ -449,41 +449,36 @@ def step_graph_numeric(
     Q, W = z[0::2].copy(), z[1::2].copy()
     lo, hi = graph.box
     n = graph.n
-    span = hi - lo
     rscale = max(1.0, float(np.max(np.abs(W))), float(np.max(np.abs(Q))))
 
-    def residual_vec(q: np.ndarray) -> np.ndarray:
-        return graph.grad(q) + graph.hess(q) @ (Q - q) - W
-
-    def solve_from(i: int) -> tuple[np.ndarray, bool] | None:
-        rng = task_rng(seed, i)
-        q = rng.uniform(lo, hi, n)
-        for _ in range(60):
-            R = residual_vec(q)
-            if not np.all(np.isfinite(R)):
-                return None
-            Jm = np.einsum("ijk,j->ik", graph.third(q), Q - q)
-            sv = np.linalg.svd(Jm, compute_uv=False)
-            singular = sv[-1] <= 1e-8 * max(1.0, sv[0])
-            if float(np.linalg.norm(R)) <= 1e-11 * rscale:
-                return q, singular
-            if singular:
-                delta, *_ = np.linalg.lstsq(Jm, R, rcond=None)
-            else:
-                delta = np.linalg.solve(Jm, R)
-            if float(np.linalg.norm(delta)) <= 1e-15 * (1.0 + float(np.linalg.norm(q))):
-                return None  # stuck without converging
-            q = q - delta
-            if float(np.max(np.abs(q))) > 10.0 * max(abs(lo), abs(hi), span):
-                return None
-        return None
-
-    found = [r for r in parallel_map(solve_from, range(starts)) if r is not None]
-    cands = []
-    for q, singular in found:
-        mid = graph.embed(q)
-        rows = graph.tangent_rows(q)
-        cands.append(_build_candidate(z, mid, q, rows, transform, on_wall=singular))
+    bound = 10.0 * max(abs(lo), abs(hi), hi - lo)
+    q = np.array([task_rng(seed, i).uniform(lo, hi, n) for i in range(starts)]).reshape(starts, n)
+    active = np.ones(starts, dtype=bool)
+    converged, on_wall = np.zeros(starts, dtype=bool), np.zeros(starts, dtype=bool)
+    # one masked Newton iteration over all starts
+    for _ in range(60):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        qa = q[idx]
+        R = graph.grad(qa) + (graph.hess(qa) @ (Q - qa)[..., None])[..., 0] - W
+        finite = np.all(np.isfinite(R), axis=1)
+        active[idx[~finite]] = False
+        idx, qa, R = idx[finite], qa[finite], R[finite]
+        Jm = np.einsum("sijk,sj->sik", graph.third(qa), Q - qa)
+        delta, singular = solve_stack(Jm, R, 1e-8)
+        done = np.linalg.norm(R, axis=1) <= 1e-11 * rscale
+        converged[idx[done]], on_wall[idx[done]] = True, singular[done]
+        stuck = np.linalg.norm(delta, axis=1) <= 1e-15 * (1.0 + np.linalg.norm(qa, axis=1))
+        active[idx[done | stuck]] = False
+        keep = ~(done | stuck)
+        idx = idx[keep]
+        q[idx] = qa[keep] - delta[keep]
+        active[idx[np.max(np.abs(q[idx]), axis=1) > bound]] = False  # runaway
+    cands = [
+        _build_candidate(z, graph.embed(q[i]), q[i], graph.tangent_rows(q[i]), transform, on_wall=bool(on_wall[i]))
+        for i in np.flatnonzero(converged)
+    ]
     return _dedup(cands, angular=False)
 
 

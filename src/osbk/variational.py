@@ -9,9 +9,10 @@ function value equals the symplectic area of the reconstructed polyline.
 Even-length periodic polygons admit no generating function; those orbits are
 found by least squares on the stacked closure and orthogonality residuals.
 
-Everything here is deterministic given the seed; multi-start work is split
-per-start with counter-derived generators so thread count cannot change
-results.
+Everything here is deterministic given the seed: start i draws its point
+from the counter-derived generator ``task_rng(seed, i)``, and the searches
+over a generating function run all starts in lockstep on stacked arrays,
+with per-start step sizes and masks.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from ._pool import parallel_map, task_rng
-from .core import AffineLagrangian, AffineSymplectic, normalize_lagrangian_pair, omega_pairwise
+from ._pool import task_rng
+from .core import AffineLagrangian, AffineSymplectic, normalize_lagrangian_pair, omega_pairwise, solve_stack
 from .errors import ClosureError
 from .manifolds import ManifoldSpec, TWO_PI
 from .correspondence import orthogonality_residual
@@ -64,14 +64,6 @@ class MidpointPolygon:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    def validate_against(self, spec: ManifoldSpec, tol: float = 1e-12) -> None:
-        if self.params is None:
-            raise ValueError("polygon carries no parameters")
-        errs = np.max(np.abs(spec.embed(self.params) - self.points), axis=1)
-        bad = np.flatnonzero(errs > tol)
-        if bad.size:
-            raise ValueError(f"point does not match embed(param): error {errs[bad[0]]:.2e}")
 
 
 @dataclass(frozen=True)
@@ -156,23 +148,26 @@ def _alternating_upper(n: int) -> np.ndarray:
     return A
 
 
-def gen_fun_periodic(Q) -> float:
-    """2 sum_{i<j} (-1)^{i+j-1} omega(Q_i, Q_j) for odd-length polygons."""
+def gen_fun_periodic(Q) -> float | np.ndarray:
+    """2 sum_{i<j} (-1)^{i+j-1} omega(Q_i, Q_j) for odd-length polygons; one value per polygon of a stack."""
     P = _points_of(Q)
-    n = P.shape[0]
+    n = P.shape[-2]
     if n % 2 == 0:
         raise ValueError("even-length periodic polygons admit no generating function")
-    X, Y = P[:, 0::2], P[:, 1::2]
-    W = X @ Y.T - Y @ X.T  # W[i, j] = omega(Q_i, Q_j)
-    return -2.0 * float(np.sum(_alternating_upper(n) * W))
+    X, Y = P[..., 0::2], P[..., 1::2]
+    W = X @ np.swapaxes(Y, -1, -2) - Y @ np.swapaxes(X, -1, -2)  # W[i, j] = omega(Q_i, Q_j)
+    vals = -2.0 * np.sum(_alternating_upper(n) * W, axis=(-2, -1))
+    return float(vals) if P.ndim == 2 else vals
 
 
-def gen_fun_boundary(Q) -> float:
-    """2 sum_i q_i . q_i' + 4 sum_{i<j} (-1)^{j-i} q_j . q_i' for chains."""
+def gen_fun_boundary(Q) -> float | np.ndarray:
+    """2 sum_i q_i . q_i' + 4 sum_{i<j} (-1)^{j-i} q_j . q_i' for chains; one value per chain of a stack."""
     P = _points_of(Q)
-    X, Y = P[:, 0::2], P[:, 1::2]
-    inner = X @ Y.T  # inner[j, i] = q_j . q_i'
-    return 2.0 * float(np.sum(X * Y)) + 4.0 * float(np.sum(_alternating_upper(P.shape[0]) * inner.T))
+    X, Y = P[..., 0::2], P[..., 1::2]
+    inner = X @ np.swapaxes(Y, -1, -2)  # inner[j, i] = q_j . q_i'
+    upper = _alternating_upper(P.shape[-2]) * np.swapaxes(inner, -1, -2)
+    vals = 2.0 * np.sum(X * Y, axis=(-2, -1)) + 4.0 * np.sum(upper, axis=(-2, -1))
+    return float(vals) if P.ndim == 2 else vals
 
 
 # -- reconstruction -------------------------------------------------------------
@@ -247,12 +242,12 @@ def reconstruct_boundary(Q) -> OrbitPolyline:
 
 
 def ambient_gradients(Q, kind: str) -> np.ndarray:
-    """Gradient of the generating function in each midpoint: -J(z_{i+1} - z_i)."""
+    """Gradient of the generating function in each midpoint: -J(z_{i+1} - z_i); (..., n, 2d)."""
     P = _points_of(Q)
-    Dx, Dy = _recon_diff(P.shape[0], kind)
+    Dx, Dy = _recon_diff(P.shape[-2], kind)
     out = np.empty_like(P)
-    out[:, 0::2] = Dy @ P[:, 1::2]
-    out[:, 1::2] = -(Dx @ P[:, 0::2])
+    out[..., 0::2] = Dy @ P[..., 1::2]
+    out[..., 1::2] = -(Dx @ P[..., 0::2])
     return out
 
 
@@ -275,20 +270,22 @@ def _recon_diff(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stationarity_hessian(spec: ManifoldSpec, params: np.ndarray, kind: str) -> np.ndarray:
-    """Exact Hessian of the generating function in the stacked parameters."""
+    """Exact Hessian of the generating function: (n, m) -> (nm, nm), (S, n, m) -> (S, nm, nm)."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    n, m = params.shape
-    R = spec.tangent_basis(params)  # (n, m, 2d)
-    g = ambient_gradients(spec.embed(params), kind)
+    n, m = params.shape[-2:]
+    flat = params.reshape(-1, m)
+    S, dim = flat.shape[0] // n, spec.ambient_dim
+    R = spec.tangent_basis(flat).reshape(S, n, m, dim)
+    g = ambient_gradients(spec.embed(flat).reshape(S, n, dim), kind)
     Dx, Dy = _recon_diff(n, kind)
     Rx, Ry = R[..., 0::2], R[..., 1::2]
-    # zeta_ia^T (d g_i / d Q_j) zeta_jb at [i, a, j, b], interleaved block structure
-    H = Dy[:, None, :, None] * np.einsum("iak,jbk->iajb", Rx, Ry) - Dx[:, None, :, None] * np.einsum(
-        "iak,jbk->iajb", Ry, Rx
+    # zeta_ia^T (d g_i / d Q_j) zeta_jb at [s, i, a, j, b], interleaved block structure
+    H = Dy[:, None, :, None] * np.einsum("siak,sjbk->siajb", Rx, Ry) - Dx[:, None, :, None] * np.einsum(
+        "siak,sjbk->siajb", Ry, Rx
     )
-    diag = np.arange(n)
-    H[diag, :, diag, :] += np.einsum("ic,icab->iab", g, spec.embed_hessian(params))
-    return H.reshape(n * m, n * m)
+    s, diag = np.arange(S)[:, None], np.arange(n)
+    H[s, diag, :, diag, :] += np.einsum("sic,sicab->siab", g, spec.embed_hessian(flat).reshape(S, n, dim, m, m))
+    return H.reshape(params.shape[:-2] + (n * m, n * m))
 
 
 # -- critical-point search -------------------------------------------------------
@@ -339,14 +336,8 @@ def _wrap_params(U: np.ndarray, angular: bool) -> np.ndarray:
 
 def _canonical_shift(U: np.ndarray) -> np.ndarray:
     """Cyclic shift minimizing lexicographic order of the rounded parameter list."""
-    n = U.shape[0]
-    best = None
-    for s in range(n):
-        cand = np.roll(U, -s, axis=0)
-        key = tuple(np.round(cand.ravel(), 9))
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    shifted = [np.roll(U, -s, axis=0) for s in range(U.shape[0])]
+    return min(shifted, key=lambda C: tuple(np.round(C.ravel(), 9)))
 
 
 def _params_close(
@@ -354,15 +345,10 @@ def _params_close(
 ) -> bool:
     if A.shape != B.shape:
         return False
-    n = A.shape[0]
-    for s in range(n if shifts else 1):
-        C = np.roll(B, -s, axis=0)
-        d = np.abs(A - C)
-        if angular:
-            d = np.minimum(np.mod(d, TWO_PI), TWO_PI - np.mod(d, TWO_PI))
-        if float(np.max(d)) < tol:
-            return True
-    return False
+    d = np.abs(A - np.stack([np.roll(B, -s, axis=0) for s in range(A.shape[0] if shifts else 1)]))
+    if angular:
+        d = np.minimum(np.mod(d, TWO_PI), TWO_PI - np.mod(d, TWO_PI))
+    return bool(np.any(np.max(d, axis=(1, 2)) < tol))
 
 
 def _search_core(
@@ -374,82 +360,85 @@ def _search_core(
     sign: float,
     cyclic_dedup: bool,
 ) -> tuple[list[tuple[np.ndarray, float, float]], bool, int]:
-    """Shared ascent+Newton driver. Returns (converged (params, value, gradnorm), flat, n_converged)."""
-    m = spec.param_dim
+    """Shared ascent+Newton driver over all starts in lockstep.
+
+    Every start keeps its own step size and its own place in the ascent and
+    Newton phases; one pass evaluates all starts still in a phase as one
+    stack. Returns (converged (params, value, gradnorm), flat, n_converged).
+    """
+    m, dim = spec.param_dim, spec.ambient_dim
     lo, hi = spec.box
     angular = spec.params_are_angles
-
     gen_fun = gen_fun_periodic if kind == "periodic" else gen_fun_boundary
 
-    def objective(U: np.ndarray) -> float:
-        return gen_fun(spec.embed(U))
+    def objective(U: np.ndarray) -> np.ndarray:
+        return gen_fun(spec.embed(U.reshape(-1, m)).reshape(U.shape[0], n, dim))
 
     def gradient(U: np.ndarray) -> np.ndarray:
-        return _chain_rule(spec.tangent_basis(U), ambient_gradients(spec.embed(U), kind))
+        flat = U.reshape(-1, m)
+        g = ambient_gradients(spec.embed(flat).reshape(U.shape[0], n, dim), kind)
+        return _chain_rule(spec.tangent_basis(flat), g.reshape(flat.shape[0], dim)).reshape(U.shape)
 
-    def left_box(U: np.ndarray) -> bool:
+    def norms(G: np.ndarray) -> np.ndarray:
+        # one dot product per start, summed as np.linalg.norm sums a single start
+        rows = G.reshape(G.shape[0], 1, n * m)
+        return np.sqrt((rows @ np.swapaxes(rows, 1, 2))[:, 0, 0])
+
+    def left_box(U: np.ndarray) -> np.ndarray:
         # angles wrap; graph parameters that leave the box have run away
-        return not angular and not (lo <= float(np.min(U)) and float(np.max(U)) <= hi)
-
-    def run_start(idx: int) -> tuple[np.ndarray, float, float] | None:
-        rng = task_rng(seed, idx)
-        U = rng.uniform(lo, hi, (n, m))
-        f = objective(U)
-        alpha = 0.5
-        for _ in range(400):
-            G = gradient(U)
-            gn = float(np.linalg.norm(G))
-            if gn <= 1e-9 * max(1.0, abs(f)):
-                break
-            step = alpha
-            accepted = False
-            while step > 1e-14:
-                U2 = _wrap_params(U + sign * step * G, angular)
-                f2 = objective(U2)
-                if sign * (f2 - f) >= 1e-4 * step * gn * gn:
-                    U, f = U2, f2
-                    alpha = min(step * 2.0, 4.0)
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            if left_box(U):
-                return None
-        # Newton polish on the stationarity system
-        for _ in range(40):
-            G = gradient(U).ravel()
-            gn = float(np.linalg.norm(G))
-            if gn <= 1e-12 * max(1.0, abs(f)):
-                break
-            H = stationarity_hessian(spec, U, kind)
-            sv = np.linalg.svd(H, compute_uv=False)
-            if sv[-1] <= 1e-10 * max(1.0, sv[0]):
-                delta, *_ = np.linalg.lstsq(H, -G, rcond=None)
-            else:
-                delta = np.linalg.solve(H, -G)
-            if not np.all(np.isfinite(delta)):
-                return None
-            U = _wrap_params(U + delta.reshape(n, m), angular)
-            if left_box(U):
-                return None
-        G = gradient(U)
-        gn = float(np.linalg.norm(G))
-        f = objective(U)
-        if gn > 1e-7 * max(1.0, abs(f)):
-            return None
-        return U, f, gn
+        return (not angular) & ((np.min(U, axis=(1, 2)) < lo) | (np.max(U, axis=(1, 2)) > hi))
 
     # flat-objective detection on the raw start sample
-    probe_rng = task_rng(seed, 1 << 62)
-    probe_vals = np.array(
-        [objective(probe_rng.uniform(lo, hi, (n, m))) for _ in range(min(max(starts, 8), 64))]
-    )
+    probe_vals = objective(task_rng(seed, 1 << 62).uniform(lo, hi, (min(max(starts, 8), 64), n, m)))
     spread = float(np.max(probe_vals) - np.min(probe_vals))
     if spread <= 1e-12 * max(1.0, float(np.max(np.abs(probe_vals)))):
         return [], True, 0
 
-    results = [r for r in parallel_map(run_start, range(starts)) if r is not None]
+    U = np.array([task_rng(seed, i).uniform(lo, hi, (n, m)) for i in range(starts)]).reshape(starts, n, m)
+    f, alpha, step = objective(U), np.full(starts, 0.5), np.zeros(starts)
+    alive, climbing = np.ones(starts, dtype=bool), np.ones(starts, dtype=bool)
+    G, gn = np.zeros_like(U), np.zeros(starts)
+    # gradient ascent with per-start Armijo backtracking
+    for _ in range(400):
+        c = np.flatnonzero(climbing)
+        if not c.size:
+            break
+        G[c] = gradient(U[c])
+        gn[c] = norms(G[c])
+        pending = np.zeros(starts, dtype=bool)
+        pending[c] = ~(gn[c] <= 1e-9 * np.maximum(1.0, np.abs(f[c])))
+        step[pending] = alpha[pending]
+        climbing[:] = False  # until a step is accepted
+        while pending.any():
+            p = np.flatnonzero(pending)
+            U2 = _wrap_params(U[p] + (sign * step[p])[:, None, None] * G[p], angular)
+            f2 = objective(U2)
+            ok = sign * (f2 - f[p]) >= 1e-4 * step[p] * gn[p] * gn[p]
+            won = p[ok]
+            U[won], f[won], alpha[won] = U2[ok], f2[ok], np.minimum(step[won] * 2.0, 4.0)
+            climbing[won], pending[won] = True, False
+            step[p[~ok]] *= 0.5
+            pending &= step > 1e-14
+        alive &= ~(climbing & left_box(U))
+        climbing &= alive
+    # Newton polish on the stationarity system
+    polishing = alive.copy()
+    for _ in range(40):
+        p = np.flatnonzero(polishing)
+        if not p.size:
+            break
+        G = gradient(U[p]).reshape(p.size, n * m)
+        moving = ~(norms(G) <= 1e-12 * np.maximum(1.0, np.abs(f[p])))
+        polishing[p[~moving]] = False
+        p = p[moving]
+        delta, _ = solve_stack(stationarity_hessian(spec, U[p], kind), -G[moving], 1e-10)
+        U[p] = _wrap_params(U[p] + delta.reshape(-1, n, m), angular)
+        failed = p[~np.all(np.isfinite(delta), axis=1) | left_box(U[p])]
+        alive[failed] = polishing[failed] = False
+    idx = np.flatnonzero(alive)
+    gn, f = norms(gradient(U[idx])), objective(U[idx])
+    ok = gn <= 1e-7 * np.maximum(1.0, np.abs(f))
+    results = [(U[i], float(fi), float(g)) for i, fi, g in zip(idx[ok], f[ok], gn[ok])]
     # deterministic merge: sort then dedup. Cyclic shifts are a symmetry of the
     # periodic generating function only; boundary chains must keep row order.
     def canon(U: np.ndarray) -> np.ndarray:
@@ -460,12 +449,8 @@ def _search_core(
     kept: list[tuple[np.ndarray, float, float]] = []
     for U, f, gn in results:
         Uc = canon(U)
-        if any(
-            _params_close(Uc, K, angular) if cyclic_dedup else _params_close(Uc, K, angular, shifts=False)
-            for K, _, _ in kept
-        ):
-            continue
-        kept.append((Uc, f, gn))
+        if not any(_params_close(Uc, K, angular, shifts=cyclic_dedup) for K, _, _ in kept):
+            kept.append((Uc, f, gn))
     return kept, False, len(results)
 
 
@@ -648,7 +633,7 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
         U, z1 = unpack(sol.x)
         return _wrap_params(U, angular), z1
 
-    results = [r for r in parallel_map(run_start, range(starts)) if r is not None]
+    results = [r for r in map(run_start, range(starts)) if r is not None]
     results.sort(key=lambda r: tuple(np.round(_canonical_shift(r[0]).ravel(), 9)))
     found: list[FoundOrbit] = []
     for U, z1 in results:

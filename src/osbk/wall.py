@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._pool import parallel_map, task_rng
+from ._pool import task_rng
 from .core import apply_J, as_phase_vector, omega, omega_pairwise
 from .errors import ConsistencyError, DegeneratePencilError, UnstableCountError
 from .manifolds import GeneratingGraph, ManifoldSpec, TrigImmersion
@@ -406,9 +406,8 @@ def classify_cubic_table(f: CubicForm2, trials: int = 64, seed: int = 0) -> Clas
             return len(sols)
         raise ConsistencyError("could not draw a generic probe in 200 attempts")
 
-    counts = parallel_map(one_trial, range(trials))
     hist: dict[int, int] = {}
-    for k in counts:
+    for k in map(one_trial, range(trials)):
         hist[k] = hist.get(k, 0) + 1
     if D > 0 and set(hist) != {2}:
         raise ConsistencyError(f"D = {D:.6g} > 0 but histogram {hist} is not all 2s")

@@ -110,6 +110,29 @@ class TestConfigHandling:
         rc, _, err = run(["step", "--z", "2,0"], capsys)
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["step", "--manifold", man(CIRCLE)], "--z", "-2,0"),
+            (["classify", "--trials", "50"], "--coeffs", "-1,0,0,1"),
+            (["wall", "--manifold", man(CIRCLE), "--t-count", "8"], "--plane-grid", "-0.5,0.5"),
+        ],
+        ids=["step-z", "classify-coeffs", "wall-plane-grid"],
+    )
+    def test_negative_list_after_a_space(self, tmp_path, argv, flag, value):
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert cli.main([*argv, flag, value, "--out", str(spaced)]) == 0
+        assert cli.main([*argv, f"{flag}={value}", "--out", str(joined)]) == 0
+        names = sorted(p.name for p in joined.iterdir())
+        assert sorted(p.name for p in spaced.iterdir()) == names
+        for name in names:
+            assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
+    def test_option_after_list_flag_is_not_a_value(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["step", "--manifold", man(CIRCLE), "--z", "--seed", "1"])
+        assert exc.value.code == 3
+
     def test_library_value_error_becomes_config_error(self, capsys):
         rc, _, err = run(["classify", "--coeffs", "0,0,0,0"], capsys)
         assert rc == 3

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import osbk
-from osbk.core import omega_matrix, omega_pairwise, scale_tol
+from osbk.core import omega_matrix, omega_pairwise, scale_tol, solve_stack
 
 from .conftest import random_symplectic
 
@@ -214,3 +214,21 @@ class TestScaleTol:
 
     def test_scales_with_magnitude(self):
         assert scale_tol(np.array([2000.0])) == pytest.approx(2e-7)
+
+
+class TestSolveStack:
+    def test_singular_system_gets_least_squares(self):
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(5, 3, 3))
+        A[2] = np.outer([1.0, 2.0, -1.0], [0.5, 1.0, 3.0])  # rank 1
+        b = rng.normal(size=(5, 3))
+        x, singular = solve_stack(A, b, 1e-10)
+        assert singular.tolist() == [False, False, True, False, False]
+        np.testing.assert_array_equal(x[2], np.linalg.lstsq(A[2], b[2], rcond=None)[0])
+        for k in (0, 1, 3, 4):
+            np.testing.assert_allclose(x[k], np.linalg.solve(A[k], b[k]), rtol=1e-13, atol=1e-13)
+
+    def test_threshold_is_relative_to_the_largest_singular_value(self):
+        A = np.array([np.diag([1e6, 1e-3]), np.diag([1.0, 1e-3])])
+        _, singular = solve_stack(A, np.ones((2, 2)), 1e-8)
+        assert singular.tolist() == [True, False]

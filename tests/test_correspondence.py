@@ -220,6 +220,38 @@ class TestCubicGraphStep:
             assert rep.midpoint_residual < 1e-7
             assert rep.orthogonality_residual < 1e-6
 
+    def test_numeric_partners_are_conic_partners(self):
+        # the Newton route may miss a partner, but everything it finds the exact route finds too
+        rng = np.random.default_rng(11)
+        found = 0
+        for _ in range(24):
+            a, b, c, d = rng.normal(size=4)
+            g = osbk.GeneratingGraph(osbk.Poly(2, {(3, 0): a, (2, 1): b, (1, 2): c, (0, 3): d}))
+            spec = osbk.spec_for(g)
+            z = rng.uniform(-1.5, 1.5, size=4)
+            exact = [c.partner for c in osbk.step_cubic_graph(g, z)]
+            for cand in osbk.step_graph_numeric(g, z, starts=32, seed=3):
+                assert min(np.max(np.abs(cand.partner - p)) for p in exact) <= 1e-9
+                rep = osbk.verify_pair(spec, z, cand.partner, cand.midpoint_param)
+                assert rep.midpoint_residual <= 1e-8
+                assert rep.orthogonality_residual <= 1e-8
+                found += 1
+        assert found >= 24
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fewer_starts_find_a_subset(self, ft_graph, seed):
+        # start i draws from task_rng(seed, i) whatever the start count
+        g = osbk.GeneratingGraph(osbk.Poly(2, {(3, 0): 1.0, (1, 1): 1.0, (0, 4): 0.25}), box=(-4, 4))
+        m, u = np.array([0.9, -0.4]), np.array([0.6, -0.3])  # a start with a known partner, as above
+        z_g = g.embed(m) - 0.5 * osbk.interleave(u, g.hess(m) @ u)
+        z_ft = np.random.default_rng(seed).uniform(-1.5, 1.5, size=4)
+        for graph, z in ((ft_graph, z_ft), (g, z_g)):
+            few = osbk.step_graph_numeric(graph, z, starts=16, seed=seed)
+            many = osbk.step_graph_numeric(graph, z, starts=64, seed=seed)
+            assert few
+            for c in few:
+                assert min(np.max(np.abs(c.partner - p.partner)) for p in many) <= 1e-9
+
     def test_quadratic_graph_is_walled_or_empty(self):
         g = osbk.GeneratingGraph(osbk.Poly(2, {(2, 0): 1.0, (0, 2): 1.0}))
         # W = 2Q: the defining equations hold identically in q, nothing isolated

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osbk
-from osbk.variational import MidpointPolygon, ambient_gradients, orbit_midpoints
+from osbk.variational import ORBIT_DEDUP, MidpointPolygon, _params_close, ambient_gradients, orbit_midpoints
 
 from .conftest import random_symplectic
 from .oracles import fd_gradient, fd_jacobian, shoelace_area
@@ -197,6 +197,48 @@ class TestGradients:
         Hfd = fd_jacobian(grad_flat, U.ravel())
         assert np.allclose(H, Hfd, atol=1e-5)
         assert np.allclose(H, H.T, atol=1e-9)
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("kind", ["periodic", "boundary"])
+    def test_stack_matches_one_polygon_at_a_time(self, torus_spec, kind):
+        fun = osbk.gen_fun_periodic if kind == "periodic" else osbk.gen_fun_boundary
+        P = np.random.default_rng(2).uniform(-2, 2, size=(5, 3, 4))
+        assert isinstance(fun(P[0]), float)
+        np.testing.assert_allclose(fun(P), [fun(p) for p in P], rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(
+            ambient_gradients(P, kind), [ambient_gradients(p, kind) for p in P], rtol=1e-13, atol=1e-12
+        )
+        U = np.random.default_rng(3).uniform(0, 2 * np.pi, size=(4, 3, 2))
+        H = osbk.stationarity_hessian(torus_spec, U, kind)
+        assert H.shape == (4, 6, 6)
+        np.testing.assert_allclose(
+            H, [osbk.stationarity_hessian(torus_spec, u, kind) for u in U], rtol=1e-13, atol=1e-12
+        )
+
+
+class TestStartIndependence:
+    """Start i draws from task_rng(seed, i) whatever the start count, so a k-start
+    search finds nothing that the 2k-start search at the same seed misses."""
+
+    @staticmethod
+    def assert_covered(small, large, angular, shifts):
+        assert small.orbits
+        for o in small.orbits:
+            assert any(_params_close(o.params, p.params, angular, ORBIT_DEDUP, shifts) for p in large.orbits)
+
+    @pytest.mark.parametrize("spec_name, k", [("circle_spec", 8), ("torus_spec", 8)])
+    def test_periodic(self, request, spec_name, k):
+        spec = request.getfixturevalue(spec_name)
+        small = osbk.find_periodic_orbit(spec, 3, starts=k, seed=5)
+        large = osbk.find_periodic_orbit(spec, 3, starts=2 * k, seed=5)
+        self.assert_covered(small, large, spec.params_are_angles, shifts=True)
+
+    def test_shoot(self, circle_spec):
+        L1, L2 = osbk.coordinate_lagrangian_pair(2)
+        small = osbk.find_boundary_orbit(circle_spec, L1, L2, 2, starts=12, seed=5)
+        large = osbk.find_boundary_orbit(circle_spec, L1, L2, 2, starts=24, seed=5)
+        self.assert_covered(small, large, True, shifts=False)
 
 
 class TestPeriodicSearch:
