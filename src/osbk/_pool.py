@@ -13,15 +13,20 @@ import os
 import numpy as np
 
 _ENV_VAR = "OSBK_THREADS"
+_KEY_MASK = (1 << 128) - 1
+_COUNTER_MASK = (1 << 256) - 1
 
 
 def task_rng(seed: int, task: int) -> np.random.Generator:
     """Random generator for task number ``task`` under master ``seed``.
 
-    Philox is counter based: ``jumped`` advances by 2**128 steps per task,
+    Philox is counter based: task k starts its 256-bit counter at k * 2**128,
     so streams never overlap and do not depend on how tasks are scheduled.
+    This is the state ``Philox(key=seed).jumped(task)`` reaches, built
+    directly instead of through a second bit generator.
     """
-    return np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)).jumped(int(task)))
+    counter = (int(task) << 128) & _COUNTER_MASK
+    return np.random.Generator(np.random.Philox(counter=counter, key=int(seed) & _KEY_MASK))
 
 
 def thread_count() -> int:

@@ -11,10 +11,16 @@ omega(u, v) = <J u, v> with the Euclidean inner product and J^2 = -Id.
 The q-block/p-block layout used by Lagrangian-graph tables is converted at
 that module's boundary via :func:`interleave` / :func:`split_xy`; signed
 areas everywhere use the single convention above.
+
+Two numerical kernels shared by the solvers live here too: :func:`solve_stack`
+for stacks of possibly singular linear systems, and :func:`minimize_scalar`,
+Brent's bounded minimization, ported from scipy so that importing osbk does
+not import scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +28,7 @@ import numpy as np
 from .errors import DomainError
 
 GEOMETRIC_TOL = 1e-10
+NOISE_ULPS = 8  # values this many ulp of their magnitude apart are rounding noise, not structure
 
 
 def as_phase_vector(v) -> np.ndarray:
@@ -74,6 +81,85 @@ def solve_stack(A: np.ndarray, b: np.ndarray, rel: float) -> tuple[np.ndarray, n
     for k in np.flatnonzero(singular):
         x[k] = np.linalg.lstsq(A[k], b[k], rcond=None)[0]
     return x, singular
+
+
+def minimize_scalar(fun, bounds, xatol: float = 1e-5, maxiter: int = 500):
+    """Local minimum of ``fun`` on ``bounds`` = (lo, hi) by Brent's bounded method; returns (x, fun(x)).
+
+    Ported line for line from scipy.optimize's ``_minimize_scalar_bounded``
+    (BSD-3-Clause): the same floating-point operations in the same order, so x
+    and fun(x) equal scipy's ``minimize_scalar(method="bounded")`` bit for bit.
+    ``maxiter`` caps the number of ``fun`` calls; x is returned as a float.
+    """
+    a, b = float(bounds[0]), float(bounds[1])
+    if not (math.isfinite(a) and math.isfinite(b)) or a > b:
+        raise ValueError(f"bounds must be finite with lo <= hi, got {bounds}")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = fun(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (1.0 if xm - xf >= 0.0 else -1.0)
+            else:
+                golden = True
+        if golden:  # golden-section step into the larger side
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        si = 1.0 if rat >= 0.0 else -1.0  # scipy: np.sign(rat) + (rat == 0); rat is never nan
+        x = xf + si * max(abs(rat), tol1)
+        fu = fun(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return float(xf), fx
 
 
 def omega_matrix(dim: int) -> np.ndarray:

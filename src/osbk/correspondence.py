@@ -6,7 +6,8 @@ family gets its own solver:
 
 * curves: root scan of g(t) = omega(gamma(t)-z, gamma'(t)) with a
   refinement-stable grid, plus a separate pass for tangential (double) roots
-  that produce no sign change;
+  that produce no sign change (Brent's bounded minimization of g^2,
+  :func:`osbk.core.minimize_scalar`);
 * ellipsoids: closed form via the one-parameter family of midpoints, with the
   scalar radical equation solved by a monotone Newton iteration;
 * Lagrangian graphs: exact conic intersection for homogeneous cubics in two
@@ -24,10 +25,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._pool import task_rng
-from .core import AffineSymplectic, as_phase_vector, interleave, omega_pairwise, solve_stack
+from .core import AffineSymplectic, as_phase_vector, interleave, minimize_scalar, omega_pairwise, solve_stack
 from .errors import DomainError, SearchFailedError, UnstableCountError
 from .manifolds import (
     GeneratingGraph,
@@ -213,11 +213,8 @@ def scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> CurveScan:
     absg = np.abs(gv)
     is_min = (absg <= np.roll(absg, 1)) & (absg <= np.roll(absg, -1)) & (absg < 1e-3 * gscale)
     for i in np.nonzero(is_min)[0]:
-        res = minimize_scalar(
-            lambda s: g(s)[0] ** 2, bounds=(ts[i] - h, ts[i] + h), method="bounded",
-            options={"xatol": 1e-13},
-        )
-        tc = float(res.x) % TWO_PI
+        x, _ = minimize_scalar(lambda s: g(s)[0] ** 2, (ts[i] - h, ts[i] + h), xatol=1e-13)
+        tc = x % TWO_PI
         if abs(g(tc)[0]) <= 1e-9 * gscale and np.all(_wrap_dist(tc, np.append(roots, tangential)) > PARAM_DEDUP):
             tangential.append(tc)
 

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import as_phase_vector, omega
+from .core import NOISE_ULPS, as_phase_vector, omega
 from .errors import DomainError
 from .manifolds import GeneratingGraph, ManifoldSpec, SymplecticEllipsoid
 from .poly import Poly
@@ -108,12 +108,20 @@ def poisson_bracket(f, g, z) -> float:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Per-chord drift of every integral, plus the tensor-form sign check."""
+    """Per-chord drift of every integral, plus the tensor-form sign check.
+
+    ``worst_step`` is the first chord whose drift comes within ``NOISE_ULPS``
+    ulp of ``value_scale`` (the largest |I| the audit met) of the largest
+    drift: drifts that differ only by rounding are ties. When every drift is
+    rounding noise, as on an ellipsoid orbit, that is chord 0, and the index
+    does not move with last-digit changes to the orbit.
+    """
 
     chord_drift: np.ndarray  # (steps, integrals): |I(B) - I(A)| of each chord
     matched_sign: str | None
     mismatch_minus: float | None
     mismatch_plus: float | None
+    value_scale: float = 0.0
 
     @property
     def steps(self) -> int:
@@ -125,7 +133,10 @@ class AuditReport:
 
     @property
     def worst_step(self) -> int:
-        return int(np.argmax(self.chord_drift.max(axis=1))) if self.steps else 0
+        if not self.steps:
+            return 0
+        drift = self.chord_drift.max(axis=1)
+        return int(np.argmax(drift >= drift.max() - NOISE_ULPS * np.spacing(self.value_scale)))
 
     @property
     def worst_drift(self) -> float:
@@ -180,13 +191,14 @@ def audit_chords(spec: ManifoldSpec, integrals: IntegralSet, chords: Iterable) -
     comparison.
     """
     graph = spec.table if integrals.kind == "cubic-graph" else None
-    drift = []
+    drift, seen = [], []
     mis_minus, mis_plus, audited = 0.0, 0.0, 0
     prev = vals_prev = None
     for A, B in chords:
         vals_a = vals_prev if A is prev else integrals.values(A)  # consecutive chords share a point
         prev, vals_prev = B, integrals.values(B)
         drift.append(np.abs(vals_prev - vals_a))
+        seen += (vals_a, vals_prev)
         if graph is not None:
             A, B = as_phase_vector(A), as_phase_vector(B)
             mid = 0.5 * (A + B)
@@ -200,6 +212,7 @@ def audit_chords(spec: ManifoldSpec, integrals: IntegralSet, chords: Iterable) -
                 mis_plus = max(mis_plus, float(np.max(np.abs(vals_a - half))))
                 audited += 1
     drift = np.reshape(drift, (len(drift), len(integrals.evaluators)))
+    scale = float(np.max(np.abs(seen))) if seen else 0.0
     if graph is not None and audited > 0:
-        return AuditReport(drift, "-" if mis_minus <= mis_plus else "+", mis_minus, mis_plus)
-    return AuditReport(drift, None, None, None)
+        return AuditReport(drift, "-" if mis_minus <= mis_plus else "+", mis_minus, mis_plus, scale)
+    return AuditReport(drift, None, None, None, scale)

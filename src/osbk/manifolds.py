@@ -31,10 +31,9 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import poly as _poly
-from .core import AffineLagrangian, AffineSymplectic, GEOMETRIC_TOL, omega_pairwise
+from .core import AffineLagrangian, AffineSymplectic, GEOMETRIC_TOL, NOISE_ULPS, minimize_scalar, omega_pairwise
 from .errors import ConfigError, ImmersionError
 
 TWO_PI = 2.0 * math.pi
@@ -651,7 +650,10 @@ class ConvexityProfile:
 def symplectic_convexity_profile(curve: TrigImmersion | ManifoldSpec) -> ConvexityProfile:
     """Min and max of omega(gamma'(t), gamma''(t)) over a curve, grid + local refinement.
 
-    The curve is symplectically convex iff the minimum is positive.
+    The curve is symplectically convex iff the minimum is positive. A profile
+    whose grid samples all lie within ``NOISE_ULPS`` ulp of max|omega| (the
+    circle, the Chebyshev (1,2) curve) is constant up to rounding: it is not
+    refined, and argmin and argmax are both the first grid sample, t = 0.
     """
     if isinstance(curve, ManifoldSpec):
         trig = curve.as_trig
@@ -666,19 +668,19 @@ def symplectic_convexity_profile(curve: TrigImmersion | ManifoldSpec) -> Convexi
 
     ts = np.arange(CONVEXITY_SAMPLES) * TWO_PI / CONVEXITY_SAMPLES
     w = f(ts)
+    lo, hi = float(np.min(w)), float(np.max(w))
+    if hi - lo <= NOISE_ULPS * np.spacing(max(abs(lo), abs(hi))):
+        return ConvexityProfile(lo, hi, float(ts[0]), float(ts[0]), lo > 0.0)
 
     def refine(k: int, sign: float) -> tuple[float, float]:
         h = TWO_PI / CONVEXITY_SAMPLES
-        res = minimize_scalar(
-            lambda t: sign * f(t)[0], bounds=(ts[k] - h, ts[k] + h), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return float(res.x), sign * float(res.fun)
+        x, fx = minimize_scalar(lambda t: sign * f(t)[0], (ts[k] - h, ts[k] + h), xatol=1e-12)
+        return x, sign * float(fx)
 
     tmin, vmin = refine(int(np.argmin(w)), 1.0)
     tmax, vmax = refine(int(np.argmax(w)), -1.0)
-    vmin = min(vmin, float(np.min(w)))
-    vmax = max(vmax, float(np.max(w)))
+    vmin = min(vmin, lo)
+    vmax = max(vmax, hi)
     return ConvexityProfile(vmin, vmax, tmin % TWO_PI, tmax % TWO_PI, vmin > 0.0)
 
 

@@ -7,7 +7,10 @@ q_j . q_i'. Critical points of either restricted to M^n are orbits, and the
 function value equals the symplectic area of the reconstructed polyline.
 
 Even-length periodic polygons admit no generating function; those orbits are
-found by least squares on the stacked closure and orthogonality residuals.
+found by least squares on the stacked closure and orthogonality residuals,
+with scipy's Levenberg-Marquardt ``least_squares``. It is osbk's only scipy
+use and is imported inside :func:`search_even_periodic`, so ``import osbk``
+does not load scipy.
 
 Everything here is deterministic given the seed: start i draws its point
 from the counter-derived generator ``task_rng(seed, i)``, and the searches
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ._pool import task_rng
 from .core import AffineLagrangian, AffineSymplectic, normalize_lagrangian_pair, omega_pairwise, solve_stack
@@ -574,6 +576,8 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
     """
     if n % 2 == 1 or n < 2:
         raise ValueError("even search requires even n >= 2; use find_periodic_orbit for odd n")
+    from scipy.optimize import least_squares  # imported here: the only scipy use in osbk
+
     m = spec.param_dim
     dim = spec.ambient_dim
     lo, hi = spec.box

@@ -15,6 +15,7 @@ CIRCLE = {"kind": "trig", "m": 1, "coeffs": [[[[1], 1.0, 0.0]], [[[1], 0.0, 1.0]
 LAG_PLANE = {"kind": "trig", "m": 1, "coeffs": [[[[1], 1.0, 0.0]], [], [[[1], 0.0, 1.0]], []]}
 ELL = {"kind": "ellipsoid", "axes": [1.0, 2.0]}
 FT = {"kind": "graph", "n": 2, "terms": [[[1, 2], 1.0], [[2, 1], 1.0]], "box": [-5.0, 5.0]}
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(osbk.__file__).resolve().parents[1]))
 
 
 def run(argv, capsys=None):
@@ -431,6 +432,32 @@ class TestEntryPoint:
         )
         assert r.returncode == 0
         assert json.loads(r.stdout)["count"] == 2
+
+    def test_import_and_curve_commands_do_not_load_scipy(self, tmp_path):
+        # every command is a fresh process, so scipy's import cost would be paid by each one
+        cheb = man(osbk.manifold_to_json(osbk.spec_for(osbk.chebyshev_curve())))
+        code = (
+            "import json, sys\n"
+            "import osbk, osbk.cli\n"
+            "out, cheb = sys.argv[1], sys.argv[2]\n"
+            "assert osbk.cli.main(['check', '--manifold', cheb, '--out', out + '/check']) == 0\n"
+            "assert osbk.cli.main(['step', '--manifold', cheb, '--z=2.5,0.3,-0.4,1.1', '--out', out + '/step']) == 0\n"
+            "print(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')))\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path), cheb], capture_output=True, text=True, env=SRC_ENV
+        )
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == []
+        assert json.loads((tmp_path / "step" / "result.json").read_text())["count"] >= 2
+
+    def test_even_search_runs_from_the_command_line(self):
+        r = subprocess.run(
+            [sys.executable, "-m", "osbk.cli", "even-search", "--manifold", man(CIRCLE), "--n", "4", "--starts", "8"],
+            capture_output=True, text=True, env=SRC_ENV,
+        )
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["nondegenerate_found"] > 0
 
     def test_console_script(self, tmp_path, monkeypatch):
         # Stand in for an install: write the launcher that pip generates for the

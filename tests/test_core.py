@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import osbk
-from osbk.core import omega_matrix, omega_pairwise, scale_tol, solve_stack
+from osbk._pool import task_rng
+from osbk.core import minimize_scalar, omega_matrix, omega_pairwise, scale_tol, solve_stack
 
 from .conftest import random_symplectic
 
@@ -232,3 +233,73 @@ class TestSolveStack:
         A = np.array([np.diag([1e6, 1e-3]), np.diag([1.0, 1e-3])])
         _, singular = solve_stack(A, np.ones((2, 2)), 1e-8)
         assert singular.tolist() == [True, False]
+
+
+class TestMinimizeScalar:
+    """The in-repo bounded minimizer is a port of scipy's: results must be equal, not close."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            c = rng.normal(size=5)
+            lo = float(rng.uniform(-4.0, 4.0))
+            hi = lo + float(rng.uniform(1e-4, 5.0))
+            yield (lambda x, c=c: c[0] * np.sin(c[1] * x + c[2]) + c[3] * x * x + c[4] * x), (lo, hi)
+        yield (lambda x: (x - 0.3) ** 2), (0.3, 0.3)  # empty interval
+        yield (lambda x: abs(x - 1.0)), (0.0, 2.0)  # kink at the minimum
+        yield (lambda x: -x), (0.0, 1.0)  # minimum on the bound
+
+    @pytest.mark.parametrize("xatol", [1e-5, 1e-12, 1e-13])
+    def test_equal_to_scipy(self, xatol):
+        opt = pytest.importorskip("scipy.optimize")
+        for fun, bounds in self.cases():
+            ref = opt.minimize_scalar(fun, bounds=bounds, method="bounded", options={"xatol": xatol})
+            x, fx = minimize_scalar(fun, bounds, xatol=xatol)
+            assert (x, fx) == (ref.x, ref.fun)
+
+    def test_equal_to_scipy_at_the_maxiter_cap(self):
+        opt = pytest.importorskip("scipy.optimize")
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return np.cos(3.0 * x) + 0.1 * x
+
+        for maxiter in (2, 3, 6):  # the first step always runs, so 2 calls is the fewest
+            opts = {"xatol": 1e-13, "maxiter": maxiter}
+            ref = opt.minimize_scalar(fun, bounds=(-2.0, 2.0), method="bounded", options=opts)
+            assert ref.status == 1
+            calls.clear()
+            x, fx = minimize_scalar(fun, (-2.0, 2.0), xatol=1e-13, maxiter=maxiter)
+            assert (x, fx) == (ref.x, ref.fun)
+            assert len(calls) == maxiter
+
+    def test_finds_interior_minimum(self):
+        x, fx = minimize_scalar(lambda t: (t - 0.7) ** 2 + 1.0, (0.0, 2.0), xatol=1e-12)
+        assert x == pytest.approx(0.7, abs=1e-7)  # the tolerance is xatol/3 + 1.5e-8 |x|
+        assert fx == pytest.approx(1.0, abs=1e-15)
+        assert type(x) is float
+
+    @pytest.mark.parametrize("bounds", [(1.0, 0.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_bad_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            minimize_scalar(lambda t: t * t, bounds)
+
+
+class TestTaskRng:
+    @pytest.mark.parametrize("seed", [0, 1, 123456789, 2**64 + 5, 2**127 - 1, 2**127 + 3])
+    @pytest.mark.parametrize("task", [0, 1, 17, 999_999, 2**70])
+    def test_same_streams_as_jumped_philox(self, seed, task):
+        ref = np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)).jumped(task))
+        rng = task_rng(seed, task)
+        state, ref_state = rng.bit_generator.state["state"], ref.bit_generator.state["state"]
+        for part in ("counter", "key"):
+            np.testing.assert_array_equal(state[part], ref_state[part])
+        for draw in (
+            lambda g: g.uniform(-2.0, 2.0, 7),
+            lambda g: g.normal(size=5),
+            lambda g: g.integers(0, 1000, 9),
+            lambda g: g.random(3),
+        ):
+            np.testing.assert_array_equal(draw(rng), draw(ref))

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import osbk
-from osbk.integrability import poisson_bracket
+from osbk.core import NOISE_ULPS
+from osbk.integrability import AuditReport, poisson_bracket
 
 from .conftest import random_symplectic
 from .oracles import fd_gradient
@@ -108,6 +111,25 @@ class TestAuditInvariance:
         scale = max(1.0, float(np.max(np.abs(ints.values(z0)))))
         assert rep.worst_drift < 1e-10 * scale
         assert rep.worst_step is not None
+
+    def test_worst_step_of_rounding_noise_is_the_first_chord(self, ell2):
+        # every chord drifts by a few ulp of the integrals; none is worse than another
+        spec = osbk.spec_for(ell2)
+        ints = osbk.integrals_for(spec)
+        orbit = osbk.iterate_ellipsoid(ell2, np.array([2.0, 0.1, -1.0, 2.2]), steps=2000)
+        rep = osbk.audit_invariance(spec, ints, orbit)
+        assert 0.0 < rep.worst_drift <= NOISE_ULPS * np.spacing(rep.value_scale)
+        assert rep.worst_step == 0
+        # a drift above the noise band is reported where it is
+        drift = rep.chord_drift.copy()
+        drift[37, 1] = 1e-9
+        assert replace(rep, chord_drift=drift).worst_step == 37
+
+    def test_worst_step_is_the_first_tie_within_noise(self):
+        ulp = np.spacing(1.0)
+        drift = np.array([[0.0], [1e-3], [1e-3 + 3 * ulp], [1e-3 + 4 * ulp]])
+        assert AuditReport(drift, None, None, None, 1.0).worst_step == 1
+        assert AuditReport(drift, None, None, None).worst_step == 3  # no scale: exact ties only
 
     def test_cubic_pair_sign_convention(self, ft_graph, ft_spec):
         # the endpoint values equal -(1/2) third F(q)[v, v] with v the

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import osbk
+from osbk.core import NOISE_ULPS
 from osbk.manifolds import trig_product
 
 from .conftest import random_symplectic
@@ -320,6 +321,15 @@ class TestConvexityProfile:
         assert prof.min_value == pytest.approx(9.0, abs=1e-6)
         assert prof.max_value == pytest.approx(9.0, abs=1e-6)
 
+    def test_flat_profile_reports_the_first_sample(self, cheb_spec, circle_spec):
+        # omega(gamma', gamma'') is constant; its grid spread is rounding noise,
+        # so argmin and argmax are t = 0, not wherever the noise peaks
+        for spec, value in ((cheb_spec, 9.0), (circle_spec, 1.0)):
+            prof = osbk.symplectic_convexity_profile(spec)
+            assert prof.argmin == prof.argmax == 0.0
+            assert prof.min_value <= value <= prof.max_value
+            assert prof.max_value - prof.min_value <= NOISE_ULPS * np.spacing(value)
+
     def test_planar_lissajous_is_not_convex(self):
         # (cos t, sin 2t): omega(gamma', gamma'') = cos t (6 - 4 cos^2 t),
         # extremes +-2 sqrt(2) at cos t = +-1/sqrt(2)
@@ -328,6 +338,9 @@ class TestConvexityProfile:
         assert not prof.convex
         assert prof.min_value == pytest.approx(-2.0 * np.sqrt(2.0), abs=1e-6)
         assert prof.max_value == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-6)
+        # a profile with structure is still refined to its extremes
+        assert np.cos(prof.argmin) == pytest.approx(-np.sqrt(0.5), abs=1e-6)
+        assert np.cos(prof.argmax) == pytest.approx(np.sqrt(0.5), abs=1e-6)
 
     def test_rejects_non_curves(self, torus_spec):
         with pytest.raises((ValueError, osbk.DomainError)):

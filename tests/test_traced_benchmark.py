@@ -1,0 +1,54 @@
+"""The benchmark's traced mode hooks osbk names from outside the package.
+
+``perfbench/spans.py`` looks several osbk names up when ``--trace 1`` installs
+its hooks (the ``minimize_scalar`` imported into ``correspondence`` and
+``manifolds``, ``_pool.thread_count``, ...). A rename of any of them crashes
+the traced benchmark; this test makes it fail here first.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+import osbk
+from osbk import cli
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+# (cos t, sin 2t): not convex, so the convexity profile is refined with minimize_scalar
+LISSAJOUS = {"kind": "trig", "m": 1, "coeffs": [[[[1], 1.0, 0.0]], [[[2], 0.0, 1.0]]]}
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("osbk_perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_check_records_minimize_scalar_spans(spans, tmp_path):
+    rec = spans.Recorder()
+    uninstall = spans.install(rec)
+    try:
+        rec.op_id, rec.active = 0, True
+        rc = cli.main(["check", "--manifold", json.dumps(LISSAJOUS), "--out", str(tmp_path / "check")])
+        rec.active = False
+    finally:
+        uninstall()
+    assert rc == 0
+    names = [rec.names[i] for i in rec.name]
+    assert names.count("scipy.minimize_scalar") == 2  # argmin and argmax refinement
+    assert "manifolds.symplectic_convexity_profile" in names
+    metrics = spans.layer_metrics(rec, 1)
+    assert metrics["scipy.minimize_scalar.calls"] == 2.0
+    assert metrics["manifolds.checks_ms"] > 0.0
+
+
+def test_uninstall_restores_every_hooked_name(spans):
+    from osbk import correspondence, manifolds
+
+    before = (correspondence.minimize_scalar, manifolds.minimize_scalar, osbk.step_curve)
+    spans.install(spans.Recorder())()
+    assert (correspondence.minimize_scalar, manifolds.minimize_scalar, osbk.step_curve) == before
