@@ -7,15 +7,13 @@ q_j . q_i'. Critical points of either restricted to M^n are orbits, and the
 function value equals the symplectic area of the reconstructed polyline.
 
 Even-length periodic polygons admit no generating function; those orbits are
-found by least squares on the stacked closure and orthogonality residuals,
-with scipy's Levenberg-Marquardt ``least_squares``. It is osbk's only scipy
-use and is imported inside :func:`search_even_periodic`, so ``import osbk``
-does not load scipy.
+found by a Levenberg-Marquardt least-squares solve of the stacked closure and
+orthogonality residuals.
 
 Everything here is deterministic given the seed: start i draws its point
-from the counter-derived generator ``task_rng(seed, i)``, and the searches
-over a generating function run all starts in lockstep on stacked arrays,
-with per-start step sizes and masks.
+from the counter-derived generator ``task_rng(seed, i)``, and every search
+runs all starts in lockstep on stacked arrays, with per-start step sizes,
+damping and masks, so a start's path does not depend on the other starts.
 """
 
 from __future__ import annotations
@@ -345,12 +343,28 @@ def _canonical_shift(U: np.ndarray) -> np.ndarray:
 def _params_close(
     A: np.ndarray, B: np.ndarray, angular: bool, tol: float = ORBIT_DEDUP, shifts: bool = True
 ) -> bool:
-    if A.shape != B.shape:
+    """Whether A (n, m) is within ``tol`` of B (n, m) or of any B[k] of a stack (K, n, m).
+
+    With ``shifts``, every cyclic shift of B counts.
+    """
+    if B.shape[-2:] != A.shape:
         return False
-    d = np.abs(A - np.stack([np.roll(B, -s, axis=0) for s in range(A.shape[0] if shifts else 1)]))
+    B = B.reshape(-1, *A.shape)
+    d = np.abs(A - np.stack([np.roll(B, -s, axis=1) for s in range(A.shape[0] if shifts else 1)], axis=1))
     if angular:
         d = np.minimum(np.mod(d, TWO_PI), TWO_PI - np.mod(d, TWO_PI))
-    return bool(np.any(np.max(d, axis=(1, 2)) < tol))
+    return bool(np.any(np.max(d, axis=(-2, -1)) < tol))
+
+
+def _distinct(items: list, params: list[np.ndarray], angular: bool, shifts: bool) -> list:
+    """The items whose params are not close to those of an earlier kept item, in order."""
+    kept: list = []
+    stack = np.empty((len(params),) + (params[0].shape if params else ()))
+    for item, P in zip(items, params):
+        if not _params_close(P, stack[: len(kept)], angular, shifts=shifts):
+            stack[len(kept)] = P
+            kept.append(item)
+    return kept
 
 
 def _search_core(
@@ -440,20 +454,12 @@ def _search_core(
     idx = np.flatnonzero(alive)
     gn, f = norms(gradient(U[idx])), objective(U[idx])
     ok = gn <= 1e-7 * np.maximum(1.0, np.abs(f))
-    results = [(U[i], float(fi), float(g)) for i, fi, g in zip(idx[ok], f[ok], gn[ok])]
     # deterministic merge: sort then dedup. Cyclic shifts are a symmetry of the
     # periodic generating function only; boundary chains must keep row order.
-    def canon(U: np.ndarray) -> np.ndarray:
-        W = _wrap_params(U, angular)
-        return _canonical_shift(W) if cyclic_dedup else W
-
-    results.sort(key=lambda r: (-sign * r[1], tuple(np.round(canon(r[0]).ravel(), 9))))
-    kept: list[tuple[np.ndarray, float, float]] = []
-    for U, f, gn in results:
-        Uc = canon(U)
-        if not any(_params_close(Uc, K, angular, shifts=cyclic_dedup) for K, _, _ in kept):
-            kept.append((Uc, f, gn))
-    return kept, False, len(results)
+    W = _wrap_params(U[idx[ok]], angular)
+    results = [(_canonical_shift(w) if cyclic_dedup else w, float(fi), float(g)) for w, fi, g in zip(W, f[ok], gn[ok])]
+    results.sort(key=lambda r: (-sign * r[1], tuple(np.round(r[0].ravel(), 9))))
+    return _distinct(results, [r[0] for r in results], angular, cyclic_dedup), False, len(results)
 
 
 def _orbit_residual(spec: ManifoldSpec, U: np.ndarray, vertices_chain: np.ndarray) -> float:
@@ -530,11 +536,7 @@ def find_boundary_orbit(
     if flat:
         return BoundarySearchResult((), None, None, False, True, "flat objective: G is constant on M^n", T)
     # dedup across the two mode runs
-    uniq: list[tuple[FoundOrbit, float]] = []
-    for fo, sign in all_found:
-        if any(_params_close(fo.params, g.params, nspec.params_are_angles, shifts=False) for g, _ in uniq):
-            continue
-        uniq.append((fo, sign))
+    uniq = _distinct(all_found, [fo.params for fo, _ in all_found], nspec.params_are_angles, shifts=False)
     if not uniq:
         return BoundarySearchResult(
             (), None, None, True, False, f"search failed: {n_conv} converged starts, none verified", T
@@ -572,14 +574,17 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
 
     Unknowns are the n midpoint parameters plus z_1; residuals stack the
     closure defect with the omega-orthogonality at every midpoint, giving a
-    square system solved by Levenberg-Marquardt with the analytic Jacobian.
+    square system of p = n m + 2d equations. All starts run one
+    Levenberg-Marquardt iteration in lockstep on the analytic Jacobian: each
+    pass solves (J^T J + lam diag(J^T J)) delta = -J^T r for every start still
+    running, keeps a step only where the cost falls, and adapts each start's
+    own damping lam. A start stops when its residual reaches the noise floor,
+    its step is negligible or its damping blows up; at most 400 passes.
     """
     if n % 2 == 1 or n < 2:
         raise ValueError("even search requires even n >= 2; use find_periodic_orbit for odd n")
-    from scipy.optimize import least_squares  # imported here: the only scipy use in osbk
-
-    m = spec.param_dim
-    dim = spec.ambient_dim
+    m, dim = spec.param_dim, spec.ambient_dim
+    nm = n * m
     lo, hi = spec.box
     angular = spec.params_are_angles
 
@@ -588,64 +593,67 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
     sigma = (-1.0) ** np.arange(n + 1)  # the free start z_1 enters vertex i as (-1)^i z_1
     dsigma = np.diff(sigma)
 
-    def unpack(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return vec[: n * m].reshape(n, m), vec[n * m :]
-
-    def residuals(vec: np.ndarray) -> np.ndarray:
-        U, z1 = unpack(vec)
-        pts, R = spec.embed(U), spec.tangent_basis(U)  # (n, dim), (n, m, dim)
-        diffs = D @ pts + np.outer(dsigma, z1)
-        # omega(z_{i+1} - z_i, zeta_ia) at [i, a]
-        ortho = np.einsum("iak,ik->ia", R[..., 1::2], diffs[:, 0::2]) - np.einsum(
-            "iak,ik->ia", R[..., 0::2], diffs[:, 1::2]
-        )
-        return np.concatenate([C[n] @ pts, ortho.ravel()])  # closure z_{n+1} - z_1 is free of z_1 for even n
-
-    def jacobian(vec: np.ndarray) -> np.ndarray:
-        U, z1 = unpack(vec)
-        pts, R = spec.embed(U), spec.tangent_basis(U)  # (n, dim), (n, m, dim)
-        Hs = spec.embed_hessian(U)  # (n, dim, m, m)
-        diffs = D @ pts + np.outer(dsigma, z1)
+    def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals (S, p) and Jacobians (S, p, p) at the stacked unknowns X (S, p)."""
+        S = X.shape[0]
+        flat, z1 = X[:, :nm].reshape(S * n, m), X[:, nm:]
+        pts = spec.embed(flat).reshape(S, n, dim)
+        R = spec.tangent_basis(flat).reshape(S, n, m, dim)
+        Hs = spec.embed_hessian(flat).reshape(S, n, dim, m, m)
+        diffs = D @ pts + dsigma[:, None] * z1[:, None, :]
         Rx, Ry = R[..., 0::2], R[..., 1::2]
-        # through Q_j: D[i, j] omega(zeta_jb, zeta_ia) at [i, a, j, b]
-        dU = D[:, None, :, None] * (np.einsum("jbk,iak->iajb", Rx, Ry) - np.einsum("jbk,iak->iajb", Ry, Rx))
+        # omega(z_{i+1} - z_i, zeta_ia) at [s, i, a]
+        ortho = np.einsum("siak,sik->sia", Ry, diffs[..., 0::2]) - np.einsum("siak,sik->sia", Rx, diffs[..., 1::2])
+        r = np.concatenate([C[n] @ pts, ortho.reshape(S, nm)], axis=1)  # closure z_{n+1} - z_1 is free of z_1
+        J = np.zeros((S, nm + dim, nm + dim))
+        J[:, :dim, :nm] = np.swapaxes((C[n][:, None, None] * R).reshape(S, nm, dim), 1, 2)
+        # through Q_j: D[i, j] omega(zeta_jb, zeta_ia) at [s, i, a, j, b]
+        dU = D[:, None, :, None] * (np.einsum("sjbk,siak->siajb", Rx, Ry) - np.einsum("sjbk,siak->siajb", Ry, Rx))
         # through zeta_ia(u_i): omega(z_{i+1} - z_i, d zeta_ia / d u_ib)
-        diag = np.arange(n)
-        dU[diag, :, diag, :] += np.einsum("ik,ikab->iab", diffs[:, 0::2], Hs[:, 1::2]) - np.einsum(
-            "ik,ikab->iab", diffs[:, 1::2], Hs[:, 0::2]
+        s, diag = np.arange(S)[:, None], np.arange(n)
+        dU[s, diag, :, diag, :] += np.einsum("sik,sikab->siab", diffs[..., 0::2], Hs[:, :, 1::2]) - np.einsum(
+            "sik,sikab->siab", diffs[..., 1::2], Hs[:, :, 0::2]
         )
-        JR = np.empty_like(R)
-        JR[..., 0::2], JR[..., 1::2] = -Ry, Rx
-        dz1 = -dsigma[:, None, None] * JR  # through z_1
-        closure = (C[n][:, None, None] * R).reshape(n * m, dim).T  # no z_1 columns: it cancels
-        return np.block([
-            [closure, np.zeros((dim, dim))],
-            [dU.reshape(n * m, n * m), dz1.reshape(n * m, dim)],
-        ])
+        J[:, dim:, :nm] = dU.reshape(S, nm, nm)
+        # through z_1: -dsigma_i omega(zeta_ia, .) = -dsigma_i (J zeta_ia)^T
+        J[:, dim:, nm:][..., 0::2] = (dsigma[:, None, None] * Ry).reshape(S, nm, dim // 2)
+        J[:, dim:, nm:][..., 1::2] = -(dsigma[:, None, None] * Rx).reshape(S, nm, dim // 2)
+        return r, J
 
     zscale = max(1.0, float(np.max(np.abs(spec.embed(np.full(m, 0.5 * (lo + hi)))))))
-
-    def run_start(idx: int) -> tuple[np.ndarray, np.ndarray] | None:
-        rng = task_rng(seed, idx)
-        U0 = rng.uniform(lo, hi, (n, m))
-        z10 = rng.uniform(-3.0 * zscale, 3.0 * zscale, dim)
-        vec0 = np.concatenate([U0.ravel(), z10])
-        sol = least_squares(residuals, vec0, jac=jacobian, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
-        r = residuals(sol.x)
-        if float(np.linalg.norm(r)) > 1e-9 * zscale:
-            return None
-        U, z1 = unpack(sol.x)
-        return _wrap_params(U, angular), z1
-
-    results = [r for r in map(run_start, range(starts)) if r is not None]
+    X = np.empty((starts, nm + dim))
+    for i in range(starts):
+        rng = task_rng(seed, i)
+        X[i, :nm] = rng.uniform(lo, hi, (n, m)).ravel()
+        X[i, nm:] = rng.uniform(-3.0 * zscale, 3.0 * zscale, dim)
+    r, J = evaluate(X)
+    cost, lam = np.sum(r * r, axis=1), np.full(starts, 1e-3)
+    running, k = np.ones(starts, dtype=bool), np.arange(nm + dim)
+    for _ in range(400):
+        a = np.flatnonzero(running)
+        if not a.size:
+            break
+        Jt = np.swapaxes(J[a], 1, 2)
+        A = Jt @ J[a]
+        A[:, k, k] *= 1.0 + lam[a, None]
+        delta = solve_stack(A, -(Jt @ r[a, :, None])[..., 0], 1e-15)[0]
+        delta[~np.all(np.isfinite(delta), axis=1)] = 0.0  # a failed solve ends the start as a null step
+        trial = X[a] + delta
+        rt, Jn = evaluate(trial)
+        ct = np.sum(rt * rt, axis=1)
+        fell = ct < cost[a]
+        won = a[fell]
+        X[won], r[won], J[won], cost[won] = trial[fell], rt[fell], Jn[fell], ct[fell]
+        lam[a] = np.where(fell, np.maximum(lam[a] / 3.0, 1e-12), lam[a] * 4.0)
+        small = np.linalg.norm(delta, axis=1) <= 1e-15 * (1.0 + np.linalg.norm(X[a], axis=1))
+        running[a] = ~(small | (cost[a] <= (1e-15 * zscale) ** 2) | (lam[a] > 1e16))
+    good = np.flatnonzero(cost <= (1e-9 * zscale) ** 2)
+    results = [(_wrap_params(X[i, :nm].reshape(n, m), angular), X[i, nm:]) for i in good]
     results.sort(key=lambda r: tuple(np.round(_canonical_shift(r[0]).ravel(), 9)))
     found: list[FoundOrbit] = []
-    for U, z1 in results:
-        if any(_params_close(_canonical_shift(U), _canonical_shift(f.params), angular) for f in found):
-            continue
+    for U, z1 in _distinct(results, [U for U, _ in results], angular, shifts=True):
         Z = C @ spec.embed(U) + np.outer(sigma, z1)
-        res = _orbit_residual(spec, U, Z)
-        orb = make_orbit(Z[:-1], "periodic", max_residual=res)
+        orb = make_orbit(Z[:-1], "periodic", max_residual=_orbit_residual(spec, U, Z))
         found.append(FoundOrbit(orb, U, orb.area, 0.0))
     nondeg = tuple(f for f in found if not f.orbit.degenerate)
     return EvenSearchResult(

@@ -439,17 +439,19 @@ class TestEntryPoint:
         code = (
             "import json, sys\n"
             "import osbk, osbk.cli\n"
-            "out, cheb = sys.argv[1], sys.argv[2]\n"
+            "out, cheb, circle = sys.argv[1:4]\n"
             "assert osbk.cli.main(['check', '--manifold', cheb, '--out', out + '/check']) == 0\n"
             "assert osbk.cli.main(['step', '--manifold', cheb, '--z=2.5,0.3,-0.4,1.1', '--out', out + '/step']) == 0\n"
+            "assert osbk.cli.main(['even-search', '--manifold', circle, '--n', '4', '--starts', '8', '--out', out + '/even']) == 0\n"
             "print(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')))\n"
         )
         r = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path), cheb], capture_output=True, text=True, env=SRC_ENV
+            [sys.executable, "-c", code, str(tmp_path), cheb, man(CIRCLE)], capture_output=True, text=True, env=SRC_ENV
         )
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout) == []
         assert json.loads((tmp_path / "step" / "result.json").read_text())["count"] >= 2
+        assert json.loads((tmp_path / "even" / "result.json").read_text())["nondegenerate_found"] > 0
 
     def test_even_search_runs_from_the_command_line(self):
         r = subprocess.run(

@@ -240,6 +240,13 @@ class TestStartIndependence:
         large = osbk.find_boundary_orbit(circle_spec, L1, L2, 2, starts=24, seed=5)
         self.assert_covered(small, large, True, shifts=False)
 
+    @pytest.mark.parametrize("spec_name", ["circle_spec", "cheb_spec"])
+    def test_even(self, request, spec_name):
+        spec = request.getfixturevalue(spec_name)
+        small = osbk.search_even_periodic(spec, 4, starts=8, seed=5)
+        large = osbk.search_even_periodic(spec, 4, starts=16, seed=5)
+        self.assert_covered(small, large, spec.params_are_angles, shifts=True)
+
 
 class TestPeriodicSearch:
     def test_circle_triangle_frozen(self, circle_spec):
