@@ -157,23 +157,28 @@ def scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> CurveScan:
 
     Sign-change roots come from a grid doubled until the count is stable under
     refinement twice in a row (else an unstable-count error with the two
-    bracketing counts), then bisected and Newton-polished all at once.
-    Tangential roots, which give no sign change, are found separately from
-    near-zero local minima of |g|.
+    bracketing counts), then bisected and Newton-polished all at once. Each
+    doubling evaluates only the new midpoints: the coarse points are exact
+    subsamples of the finer grid. Bisection stops once a pass leaves every
+    bracket unchanged, a fixed point of the iteration. Tangential roots, which
+    give no sign change, are found separately from near-zero local minima of
+    |g| away from the sign changes.
     """
     if curve.m != 1:
         raise ValueError("root scan requires a curve (m = 1)")
+    n = int(grid)
+    if n < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     z = as_phase_vector(z)
 
-    def g(ts, order: int = 1) -> np.ndarray:
-        # omega(gamma(t) - z, gamma^(order)(t)): g itself for order 1, g' for order 2
-        return omega_pairwise(curve.curve_batch(ts, 0) - z, curve.curve_batch(ts, order))
+    def g(ts) -> np.ndarray:
+        gamma, d1 = curve.curve_jet(ts, (0, 1))
+        return omega_pairwise(gamma - z, d1)
 
     history: list[tuple[int, int]] = []
-    n = int(grid)
+    ts = np.arange(n) * (TWO_PI / n)
+    gv = g(ts)
     while True:
-        ts = np.arange(n) * (TWO_PI / n)
-        gv = g(ts)
         sign = np.where(gv >= 0.0, 1.0, -1.0)
         flips = np.nonzero(sign * np.roll(sign, -1) < 0)[0]
         history.append((n, len(flips)))
@@ -185,6 +190,8 @@ def scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> CurveScan:
             raise UnstableCountError(
                 f"root count did not stabilize by grid {n} (bracketing counts {lo} and {hi})", lo, hi
             )
+        mids = np.arange(1, 2 * n, 2) * (TWO_PI / (2 * n))
+        ts, gv = np.stack([ts, mids], axis=1).ravel(), np.stack([gv, g(mids)], axis=1).ravel()
         n *= 2
 
     h = TWO_PI / n
@@ -196,29 +203,38 @@ def scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> CurveScan:
             m = 0.5 * (a + b)
             fm = g(m)
             left = (fm < 0.0) == (fa < 0.0)
-            a, fa = np.where(left | (fm == 0.0), m, a), np.where(left, fm, fa)
-            b = np.where(left & (fm != 0.0), b, m)
+            state = np.where(left | (fm == 0.0), m, a), np.where(left & (fm != 0.0), b, m), np.where(left, fm, fa)
+            fixed = all(np.array_equal(new, old) for new, old in zip(state, (a, b, fa)))
+            a, b, fa = state
+            if fixed:  # the next passes would repeat this one
+                break
         t = 0.5 * (a + b)
         live = np.ones(t.shape, dtype=bool)
         for _ in range(4):  # Newton polish; a root stops at its first step off its bracket
-            d = g(t, 2)
+            gamma, d1, d2 = curve.curve_jet(t, (0, 1, 2))  # g and g' = omega(gamma - z, gamma'')
+            gt, d = omega_pairwise(gamma - z, d1), omega_pairwise(gamma - z, d2)
             ok = np.abs(d) >= 1e-300
-            t2 = t - np.divide(g(t), d, out=np.zeros_like(d), where=ok)
+            t2 = t - np.divide(gt, d, out=np.zeros_like(d), where=ok)
             live &= ok & (ts[flips] - h <= t2) & (t2 <= ts[flips] + 2 * h)
             t = np.where(live, t2, t)
     roots = t % TWO_PI
 
-    # tangential roots: local minima of |g| that refine to (numerically) zero
+    # tangential roots: local minima of |g| that refine to (numerically) zero. A
+    # minimum beside a sign change (at i - 1 or i) has that simple root in its
+    # window, which the dedup below would discard, so it is skipped.
     tangential: list[float] = []
     absg = np.abs(gv)
+    flip_at = np.zeros(n, dtype=bool)
+    flip_at[flips] = True
     is_min = (absg <= np.roll(absg, 1)) & (absg <= np.roll(absg, -1)) & (absg < 1e-3 * gscale)
-    for i in np.nonzero(is_min)[0]:
+    for i in np.nonzero(is_min & ~flip_at & ~np.roll(flip_at, 1))[0]:
         x, _ = minimize_scalar(lambda s: g(s)[0] ** 2, (ts[i] - h, ts[i] + h), xatol=1e-13)
         tc = x % TWO_PI
         if abs(g(tc)[0]) <= 1e-9 * gscale and np.all(_wrap_dist(tc, np.append(roots, tangential)) > PARAM_DEDUP):
             tangential.append(tc)
 
-    d0, d2 = curve.curve_batch(roots, 0) - z, curve.curve_batch(roots, 2)
+    gamma, d2 = curve.curve_jet(roots, (0, 2))
+    d0 = gamma - z
     gp_scale = np.maximum(1.0, np.linalg.norm(d0, axis=1) * np.linalg.norm(d2, axis=1))
     flat = np.abs(omega_pairwise(d0, d2)) <= 1e-7 * gp_scale
     out = list(map(CurveRoot, roots.tolist(), flat.tolist())) + [CurveRoot(t, True) for t in tangential]
@@ -235,7 +251,7 @@ def step_curve(curve: TrigImmersion | ManifoldSpec, z, grid: int = 2048) -> list
     z = as_phase_vector(z)
     roots = scan_curve_roots(trig, z, grid=grid).roots
     ts = np.array([r.t for r in roots])
-    mids, tangents = trig.curve_batch(ts, 0), trig.curve_batch(ts, 1)
+    mids, tangents = trig.curve_jet(ts, (0, 1))
     cands = [
         _build_candidate(z, mid, [r.t], tan[None, :], None, on_wall=r.tangential)
         for r, mid, tan in zip(roots, mids, tangents)

@@ -138,12 +138,17 @@ class TrigImmersion:
             self._tables[order] = table
         return table
 
-    def _partials(self, u, order: int) -> np.ndarray:
+    def _trig(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """The checked parameter u and the (cos, sin) of all its phases, shape (..., 2K)."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.ndim > 2 or u.shape[-1] != self.m:
             raise ValueError(f"parameter must have shape ({self.m},) or (N, {self.m}), got {u.shape}")
         phase = u @ self._freq.T
-        out = np.concatenate([np.cos(phase), np.sin(phase)], axis=-1) @ self._order_table(order)
+        return u, np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
+
+    def _partials(self, u, order: int) -> np.ndarray:
+        u, cs = self._trig(u)
+        out = cs @ self._order_table(order)
         return out.reshape(u.shape[:-1] + (self.ambient_dim,) + (self.m,) * order)
 
     def value(self, u) -> np.ndarray:
@@ -157,12 +162,20 @@ class TrigImmersion:
 
     # -- curves (m = 1) ----------------------------------------------------
 
+    def curve_jet(self, ts, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """The derivatives of the given orders at many parameters, each of shape (N, 2d).
+
+        All orders share one cos/sin evaluation; each equals ``curve_batch(ts, k)``
+        bit for bit.
+        """
+        if self.m != 1:
+            raise ValueError("curve_jet requires a curve (m = 1)")
+        _, cs = self._trig(np.atleast_1d(np.asarray(ts, dtype=float))[:, None])
+        return tuple(cs @ self._order_table(k) for k in orders)
+
     def curve_batch(self, ts, order: int = 0) -> np.ndarray:
         """Evaluate the order-th derivative at many parameters; shape (N, 2d)."""
-        if self.m != 1:
-            raise ValueError("curve_batch requires a curve (m = 1)")
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return self._partials(ts[:, None], order).reshape(ts.size, self.ambient_dim)
+        return self.curve_jet(ts, (order,))[0]
 
     def deriv(self, t: float, order: int = 0) -> np.ndarray:
         """Exact order-th derivative of a curve at a single parameter."""
@@ -195,9 +208,14 @@ class TrigImmersion:
         _require_full_rank(self.jacobian(pts), pts)
 
 
+def _min_singular(J: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each Jacobian in a stack (..., 2d, m)."""
+    return np.linalg.svd(J, compute_uv=False)[..., -1]
+
+
 def _require_full_rank(J: np.ndarray, u: np.ndarray) -> None:
     """Raise naming the first parameter of ``u`` whose Jacobian in ``J`` (..., 2d, m) is rank deficient."""
-    sv = np.linalg.svd(J, compute_uv=False)[..., -1].ravel()
+    sv = _min_singular(J).ravel()
     bad = np.flatnonzero(sv <= MIN_SINGULAR_VALUE)
     if bad.size:
         k = bad[0]
@@ -513,17 +531,26 @@ class ManifoldSpec:
         z = self.table.embed(u)
         return self.transform(z) if self.transform else z
 
-    def tangent_basis(self, u) -> np.ndarray:
-        """Rows are the parameter-derivative vectors at u, shape (m, 2d); checked for full rank."""
+    def _jacobian(self, u) -> np.ndarray:
         trig = self.as_trig
         if trig is not None:
-            Jc = trig.jacobian(u)
-        else:
-            Jc = np.swapaxes(self.table.tangent_rows(u), -1, -2)
-            if self.transform:
-                Jc = self.transform.S @ Jc
+            return trig.jacobian(u)
+        Jc = np.swapaxes(self.table.tangent_rows(u), -1, -2)
+        return self.transform.S @ Jc if self.transform else Jc
+
+    def tangent_basis(self, u) -> np.ndarray:
+        """Rows are the parameter-derivative vectors at u, shape (m, 2d); checked for full rank."""
+        Jc = self._jacobian(u)
         _require_full_rank(Jc, u)
         return np.swapaxes(Jc, -1, -2)
+
+    def tangent_frame(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of :meth:`tangent_basis` without its rank check, and where they have full rank.
+
+        Returns rows (..., m, 2d) and a boolean mask over the parameters.
+        """
+        Jc = self._jacobian(u)
+        return np.swapaxes(Jc, -1, -2), _min_singular(Jc) > MIN_SINGULAR_VALUE
 
     def embed_hessian(self, u) -> np.ndarray:
         """Second parameter derivatives, shape (2d, m, m), exact."""
@@ -664,7 +691,7 @@ def symplectic_convexity_profile(curve: TrigImmersion | ManifoldSpec) -> Convexi
         raise ValueError("convexity profile is defined for curves only")
 
     def f(ts) -> np.ndarray:
-        return omega_pairwise(curve.curve_batch(ts, 1), curve.curve_batch(ts, 2))
+        return omega_pairwise(*curve.curve_jet(ts, (1, 2)))
 
     ts = np.arange(CONVEXITY_SAMPLES) * TWO_PI / CONVEXITY_SAMPLES
     w = f(ts)

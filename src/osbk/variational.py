@@ -36,6 +36,7 @@ from .correspondence import orthogonality_residual
 # midpoints come back that far apart.
 DEGENERACY_TOL = math.sqrt(np.finfo(float).eps)
 ORBIT_DEDUP = 1e-6
+ORBIT_RESIDUAL_TOL = 1e-8  # reported orbits have normalized orthogonality residuals at most this
 
 
 # -- polygons and polylines ---------------------------------------------------
@@ -483,7 +484,7 @@ def find_periodic_orbit(
         orb = reconstruct_periodic(spec.embed(U))
         chain = np.vstack([orb.vertices, orb.vertices[0]])
         res = _orbit_residual(spec, U, chain)
-        if res > 1e-8:
+        if res > ORBIT_RESIDUAL_TOL:
             continue
         orb = make_orbit(orb.vertices, "periodic", max_residual=res)
         found.append(FoundOrbit(orb, U, f, gn))
@@ -529,7 +530,7 @@ def find_boundary_orbit(
         for U, f, gn in kept:
             orb = reconstruct_boundary(nspec.embed(U))
             res = _orbit_residual(nspec, U, orb.vertices)
-            if res > 1e-8:
+            if res > ORBIT_RESIDUAL_TOL:
                 continue
             orb = make_orbit(orb.vertices, "boundary", max_residual=res)
             all_found.append((FoundOrbit(orb, U, f, gn, vertices_ambient=Tinv(orb.vertices)), sign))
@@ -594,17 +595,23 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
     dsigma = np.diff(sigma)
 
     def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residuals (S, p) and Jacobians (S, p, p) at the stacked unknowns X (S, p)."""
+        """Residuals (S, p) and Jacobians (S, p, p) at the stacked unknowns X (S, p).
+
+        A point with a midpoint where the tangent space is rank deficient gets
+        infinite residuals: as a trial it is a rejected step, as a start it ends.
+        """
         S = X.shape[0]
         flat, z1 = X[:, :nm].reshape(S * n, m), X[:, nm:]
         pts = spec.embed(flat).reshape(S, n, dim)
-        R = spec.tangent_basis(flat).reshape(S, n, m, dim)
+        R, full = spec.tangent_frame(flat)
+        R = R.reshape(S, n, m, dim)
         Hs = spec.embed_hessian(flat).reshape(S, n, dim, m, m)
         diffs = D @ pts + dsigma[:, None] * z1[:, None, :]
         Rx, Ry = R[..., 0::2], R[..., 1::2]
         # omega(z_{i+1} - z_i, zeta_ia) at [s, i, a]
         ortho = np.einsum("siak,sik->sia", Ry, diffs[..., 0::2]) - np.einsum("siak,sik->sia", Rx, diffs[..., 1::2])
         r = np.concatenate([C[n] @ pts, ortho.reshape(S, nm)], axis=1)  # closure z_{n+1} - z_1 is free of z_1
+        r[~np.all(full.reshape(S, n), axis=1)] = np.inf
         J = np.zeros((S, nm + dim, nm + dim))
         J[:, :dim, :nm] = np.swapaxes((C[n][:, None, None] * R).reshape(S, nm, dim), 1, 2)
         # through Q_j: D[i, j] omega(zeta_jb, zeta_ia) at [s, i, a, j, b]
@@ -653,7 +660,10 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
     found: list[FoundOrbit] = []
     for U, z1 in _distinct(results, [U for U, _ in results], angular, shifts=True):
         Z = C @ spec.embed(U) + np.outer(sigma, z1)
-        orb = make_orbit(Z[:-1], "periodic", max_residual=_orbit_residual(spec, U, Z))
+        res = _orbit_residual(spec, U, Z)
+        if res > ORBIT_RESIDUAL_TOL:  # small raw residuals beside a nearly vanishing tangent vector
+            continue
+        orb = make_orbit(Z[:-1], "periodic", max_residual=res)
         found.append(FoundOrbit(orb, U, orb.area, 0.0))
     nondeg = tuple(f for f in found if not f.orbit.degenerate)
     return EvenSearchResult(

@@ -60,9 +60,11 @@ def curve_wall_singular(curve: TrigImmersion | ManifoldSpec, P, t: float) -> flo
     value is -omega(gamma', gamma''), nonzero wherever the curve is
     symplectically convex.
     """
-    c = _as_curve(curve)
-    P = as_phase_vector(P)
-    g0, g1, g2, g3 = (c.deriv(t, k) for k in range(4))
+    g0, g1, g2, g3 = (v[0] for v in _as_curve(curve).curve_jet(float(t), range(4)))
+    return _singular_residual(as_phase_vector(P), g0, g1, g2, g3)
+
+
+def _singular_residual(P, g0, g1, g2, g3) -> float:
     return omega(P, g3) - omega(g1, g2) - omega(g0, g3)
 
 
@@ -80,9 +82,9 @@ def curve_wall_samples(
     """
     c = _as_curve(curve)
     plane_grid = [float(s) for s in plane_grid]
+    ts = np.array([float(v) for v in t_grid])
     out: list[WallSample] = []
-    for t in (float(v) for v in t_grid):
-        g0, g1, g2 = (c.deriv(t, k) for k in range(3))
+    for t, g0, g1, g2, g3 in zip(ts.tolist(), *c.curve_jet(ts, range(4))):
         rows = np.vstack([-apply_J(g1), -apply_J(g2)])  # omega(P, v) = row(v) . P
         sv = np.linalg.svd(rows, compute_uv=False)
         rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
@@ -94,7 +96,7 @@ def curve_wall_samples(
             combos = list(product(plane_grid, repeat=kernel.shape[0]))
         for s in combos:
             P = g0 + (np.asarray(s) @ kernel if s else 0.0)
-            out.append(WallSample(t, tuple(s), P, rank, curve_wall_singular(c, P, t)))
+            out.append(WallSample(t, tuple(s), P, rank, _singular_residual(P, g0, g1, g2, g3)))
     return out
 
 
@@ -130,13 +132,12 @@ def eta_expansion_check(
     The fit includes t^3 and t^4 terms to absorb the next orders.
     """
     c = _as_curve(curve)
-    g0 = c.deriv(0.0, 0)
-    g2 = c.deriv(0.0, 2)
-    if abs(omega(c.deriv(0.0, 1), g2)) < 1e-12:
+    g0, g1, g2 = (v[0] for v in c.curve_jet(0.0, (0, 1, 2)))
+    if abs(omega(g1, g2)) < 1e-12:
         raise ValueError("curve is not symplectically convex at t = 0")
     ts = np.geomspace(float(t_range[0]), float(t_range[1]), samples)
-    d1 = c.curve_batch(ts, 1)
-    eta = omega_pairwise(c.curve_batch(ts, 0) - g0, d1) / omega_pairwise(np.broadcast_to(g2, d1.shape), d1)
+    d0, d1 = c.curve_jet(ts, (0, 1))
+    eta = omega_pairwise(d0 - g0, d1) / omega_pairwise(np.broadcast_to(g2, d1.shape), d1)
     V = np.vander(ts, 3, increasing=True)  # columns 1, t, t^2 against eta/t^2
     coef, *_ = np.linalg.lstsq(V, eta / ts**2, rcond=None)
     return float(coef[0])

@@ -3,7 +3,9 @@
 Everything here is deliberately implemented by a different route than the
 library: finite differences instead of analytic derivatives, dense grid
 scanning plus local Newton instead of closed-form elimination, shoelace
-instead of the symplectic chord sum.
+instead of the symplectic chord sum. ``reference_scan_curve_roots`` is the
+plain form of the curve root scan that the library's one-pass scan must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +13,11 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
+
+from osbk.core import as_phase_vector, minimize_scalar, omega_pairwise
+from osbk.correspondence import MAX_GRID, PARAM_DEDUP, CurveRoot, CurveScan, _wrap_dist
+from osbk.errors import UnstableCountError
+from osbk.manifolds import TWO_PI, TrigImmersion
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -100,3 +107,65 @@ def brute_conic_solutions(
         found.append(w)
     found.sort(key=lambda v: (round(v[0], 9), round(v[1], 9)))
     return found
+
+
+def reference_scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> CurveScan:
+    """The curve root scan done plainly: every grid level evaluated in full,
+    all 50 bisection passes, separate ``curve_batch`` calls for each
+    derivative, and Brent's method on every near-zero grid minimum of |g|."""
+    z = as_phase_vector(z)
+
+    def g(ts, order: int = 1) -> np.ndarray:
+        return omega_pairwise(curve.curve_batch(ts, 0) - z, curve.curve_batch(ts, order))
+
+    history: list[tuple[int, int]] = []
+    n = int(grid)
+    while True:
+        ts = np.arange(n) * (TWO_PI / n)
+        gv = g(ts)
+        sign = np.where(gv >= 0.0, 1.0, -1.0)
+        flips = np.nonzero(sign * np.roll(sign, -1) < 0)[0]
+        history.append((n, len(flips)))
+        if len(history) >= 3 and history[-1][1] == history[-2][1] == history[-3][1]:
+            break
+        if n >= MAX_GRID:
+            lo, hi = sorted((history[-1][1], history[-2][1]))
+            raise UnstableCountError(f"root count did not stabilize by grid {n}", lo, hi)
+        n *= 2
+
+    h = TWO_PI / n
+    gscale = max(1.0, float(np.max(np.abs(gv))))
+    t = a = ts[flips]
+    if flips.size:
+        fa, b = gv[flips], a + h
+        for _ in range(50):
+            m = 0.5 * (a + b)
+            fm = g(m)
+            left = (fm < 0.0) == (fa < 0.0)
+            a, fa = np.where(left | (fm == 0.0), m, a), np.where(left, fm, fa)
+            b = np.where(left & (fm != 0.0), b, m)
+        t = 0.5 * (a + b)
+        live = np.ones(t.shape, dtype=bool)
+        for _ in range(4):
+            d = g(t, 2)
+            ok = np.abs(d) >= 1e-300
+            t2 = t - np.divide(g(t), d, out=np.zeros_like(d), where=ok)
+            live &= ok & (ts[flips] - h <= t2) & (t2 <= ts[flips] + 2 * h)
+            t = np.where(live, t2, t)
+    roots = t % TWO_PI
+
+    tangential: list[float] = []
+    absg = np.abs(gv)
+    is_min = (absg <= np.roll(absg, 1)) & (absg <= np.roll(absg, -1)) & (absg < 1e-3 * gscale)
+    for i in np.nonzero(is_min)[0]:
+        x, _ = minimize_scalar(lambda s: g(s)[0] ** 2, (ts[i] - h, ts[i] + h), xatol=1e-13)
+        tc = x % TWO_PI
+        if abs(g(tc)[0]) <= 1e-9 * gscale and np.all(_wrap_dist(tc, np.append(roots, tangential)) > PARAM_DEDUP):
+            tangential.append(tc)
+
+    d0, d2 = curve.curve_batch(roots, 0) - z, curve.curve_batch(roots, 2)
+    gp_scale = np.maximum(1.0, np.linalg.norm(d0, axis=1) * np.linalg.norm(d2, axis=1))
+    flat = np.abs(omega_pairwise(d0, d2)) <= 1e-7 * gp_scale
+    out = list(map(CurveRoot, roots.tolist(), flat.tolist())) + [CurveRoot(t, True) for t in tangential]
+    out.sort(key=lambda r: r.t)
+    return CurveScan(tuple(out), len(flips), n, tuple(history))

@@ -252,6 +252,15 @@ class TestEvenSearch:
         assert d["nondegenerate_found"] == 0
         assert not (out / "orbit.csv").exists()
 
+    def test_ellipsoid_rank_deficient_trials_do_not_end_the_search(self, capsys):
+        # the ellipsoid chart has rank-deficient parameters; starts that reach
+        # one are rejected steps or dropped starts, not an error for the search
+        for starts in ("4", "16"):
+            rc, out, err = run(["even-search", "--manifold", man(ELL), "--n", "4", "--starts", starts], capsys)
+            assert rc == 0, err
+            d = json.loads(out)
+            assert all(o["max_residual"] <= 1e-8 for o in d["orbits"])
+
 
 class TestShoot:
     def test_circle_chords_frozen(self, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import osbk
 
 from .conftest import random_symplectic
+from .oracles import reference_scan_curve_roots
 
 SQRT3 = np.sqrt(3.0)
 
@@ -63,6 +64,60 @@ class TestCurveScan:
         scan = osbk.scan_curve_roots(osbk.circle(), np.array([3.0, 1.0]), grid=64)
         assert scan.history[0][0] == 64
         assert scan.history[-1][1] == scan.sign_change_count
+
+    @pytest.mark.parametrize("grid", [0, -4])
+    def test_grid_below_one_rejected(self, grid):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            osbk.scan_curve_roots(osbk.circle(), np.array([2.0, 0.0]), grid=grid)
+
+
+def _scan_sources(curve, seed):
+    """Seeded points off, on and near the curve and its wall."""
+    rng = np.random.default_rng(seed)
+    dim = curve.ambient_dim
+    out = []
+    for r in rng.uniform(0.5, 3.0, 6):
+        v = rng.normal(size=dim)
+        out.append(r * v / np.linalg.norm(v))
+    for t in rng.uniform(0.0, 2 * np.pi, 4):
+        g0, g2 = curve.deriv(t, 0), curve.deriv(t, 2)
+        out += [g0 + 1e-2 * g2, g0 - 1e-2 * g2, g0, g0 + 1e-4 * g2, g0 + 1e-6 * g2]
+    return out
+
+
+class TestScanMatchesReference:
+    """The one-pass scan reproduces the plain per-level scan bit for bit."""
+
+    @staticmethod
+    def assert_same(curve, z, grid=2048):
+        got, ref = osbk.scan_curve_roots(curve, z, grid=grid), reference_scan_curve_roots(curve, z, grid=grid)
+        assert np.array([r.t for r in got.roots]).tobytes() == np.array([r.t for r in ref.roots]).tobytes()
+        assert [r.tangential for r in got.roots] == [r.tangential for r in ref.roots]
+        assert (got.sign_change_count, got.grid, got.history) == (ref.sign_change_count, ref.grid, ref.history)
+
+    @pytest.mark.parametrize("curve", [osbk.circle(), osbk.chebyshev_curve()], ids=["circle", "chebyshev"])
+    def test_seeded_sources(self, curve):
+        for z in _scan_sources(curve, 10):
+            self.assert_same(curve, z)
+
+    def test_tangential_roots_survive(self):
+        g = osbk.chebyshev_curve()
+        for t in (0.3, 1.7, 4.0):
+            z = g.deriv(t, 0)
+            assert any(r.tangential for r in osbk.scan_curve_roots(g, z).roots)
+            self.assert_same(g, z)
+
+    @pytest.mark.parametrize("grid", [64, 3])
+    def test_small_grids(self, grid):
+        self.assert_same(osbk.circle(), np.array([3.0, 1.0]), grid=grid)
+        self.assert_same(osbk.chebyshev_curve(), np.array([2.0, 0.5, -1.0, 0.3]), grid=grid)
+
+    def test_more_than_three_levels(self):
+        # counts settle late here, so several doublings reuse interleaved coarse values
+        cases = [(osbk.circle(), np.array([3.0, 1.0]), 1), (osbk.chebyshev_curve(), np.array([2.0, 0.5, -1.0, 0.3]), 4)]
+        for curve, z, grid in cases:
+            assert len(osbk.scan_curve_roots(curve, z, grid=grid).history) > 3
+            self.assert_same(curve, z, grid=grid)
 
 
 class TestCircleStep:

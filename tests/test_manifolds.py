@@ -67,6 +67,14 @@ class TestTrigImmersion:
             rows = np.array([g.deriv(t, order=order) for t in ts])
             assert np.allclose(batch, rows, atol=1e-12)
 
+    def test_curve_jet_matches_curve_batch_bitwise(self):
+        ts = np.random.default_rng(3).uniform(-7.0, 7.0, 257)
+        for g in (osbk.circle(1.5), osbk.chebyshev_curve()):
+            jet = g.curve_jet(ts, (0, 1, 2, 3))
+            for order in range(4):
+                assert jet[order].tobytes() == g.curve_batch(ts, order).tobytes()
+            assert [j.tobytes() for j in g.curve_jet(ts, (2, 0))] == [jet[2].tobytes(), jet[0].tobytes()]
+
     @given(angles)
     def test_deriv_order_one_is_tangent(self, t):
         g = osbk.circle()
