@@ -69,14 +69,12 @@ _COMMANDS: dict[str, list[Param]] = {
     "step": [
         Param("z", "floats", None, "source point, comma-separated phase coordinates", True),
         Param("branch", "int", 1, "ellipsoid chord branch, +1 or -1"),
-        Param("grid", "int", 2048, "initial root-scan grid for curves", low=1),
         Param("starts", "int", 64, "Newton starts for numeric graph stepping", low=1),
     ],
     "iterate": [
         Param("z", "floats", None, "start point", True),
         Param("steps", "int", 1000, "number of correspondence steps", low=1),
         Param("branch", "int", 1, "+1 along gamma' on curves, positive root t on ellipsoids; -1 the reverse"),
-        Param("grid", "int", 2048, "curve root-scan grid", low=1),
     ],
     "periodic": [
         Param("n", "int", None, "orbit length (odd, >= 3)", True),
@@ -98,7 +96,6 @@ _COMMANDS: dict[str, list[Param]] = {
         Param("t_count", "int", 64, "curve parameter grid size", low=1),
         Param("plane_grid", "floats", [0.0], "kernel coefficients for wall-plane sampling"),
         Param("probes", "points", [], "points whose multiplicity to count, JSON [[x,y],...]"),
-        Param("grid", "int", 2048, "root-scan grid for multiplicity counting", low=1),
     ],
     "classify": [
         Param("coeffs", "floats", None, "cubic coefficients a,b,c,d", True),
@@ -324,7 +321,7 @@ Series = dict[str, tuple[list[str], list[list[Any]]]]
 
 def _run_step(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict, Series]:
     z = as_phase_vector(p["z"])
-    cands = correspondence.step(spec, z, branch=p["branch"], seed=seed, starts=p["starts"], grid=p["grid"])
+    cands = correspondence.step(spec, z, branch=p["branch"], seed=seed, starts=p["starts"])
     within = [c for c in cands if c.residual <= tols["residual"]]
     result = {
         "command": "step",
@@ -340,7 +337,7 @@ def _run_step(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict,
 
 
 def _run_iterate(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict, Series]:
-    pts = correspondence.iterate(spec, p["z"], p["steps"], branch=p["branch"], grid=p["grid"])
+    pts = correspondence.iterate(spec, p["z"], p["steps"], branch=p["branch"])
     result = {
         "command": "iterate",
         "steps": int(pts.shape[0] - 1),
@@ -451,7 +448,7 @@ def _run_wall(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict,
     for i, point in enumerate(p["probes"]):
         entry: dict[str, Any] = {"point": [float(v) for v in point]}
         try:
-            count = wall.multiplicity_curve(spec, point, grid=p["grid"])
+            count = wall.multiplicity_curve(spec, point)
             entry["count"] = count
             mult_rows.append([i, *point, count])
         except OsbkError as e:
@@ -604,8 +601,9 @@ _RUNNERS: dict[str, Callable] = {
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # bad usage is a config error, exit 3
-        self.exit(3, f"{self.prog}: error: {message}\n")
+    def error(self, message: str) -> None:  # bad usage is a config error: error JSON, exit 3
+        _report_error(ConfigError(f"{self.prog}: {message}"), None)
+        self.exit(3)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -4,10 +4,9 @@ A point z' is a partner of z when the midpoint Q = (z+z')/2 lies on the table
 and the chord z'-z is omega-orthogonal to the tangent space at Q. Each table
 family gets its own solver:
 
-* curves: root scan of g(t) = omega(gamma(t)-z, gamma'(t)) with a
-  refinement-stable grid, plus a separate pass for tangential (double) roots
-  that produce no sign change (Brent's bounded minimization of g^2,
-  :func:`osbk.core.minimize_scalar`);
+* curves: the real roots of the trigonometric polynomial
+  g(t) = omega(gamma(t)-z, gamma'(t)), as the unit-circle eigenvalues of one
+  companion matrix, Newton-polished; a double root is a tangential partner;
 * ellipsoids: closed form via the one-parameter family of midpoints, with the
   scalar radical equation solved by a monotone Newton iteration;
 * Lagrangian graphs: exact conic intersection for homogeneous cubics in two
@@ -27,8 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from ._pool import task_rng
-from .core import AffineSymplectic, as_phase_vector, interleave, minimize_scalar, omega_pairwise, solve_stack
-from .errors import DomainError, SearchFailedError, UnstableCountError
+from .core import NOISE_ULPS, AffineSymplectic, as_phase_vector, interleave, omega_pairwise, solve_stack
+from .core import minimize_scalar  # no caller here: the benchmark's trace hooks this name (ROADMAP direction 1)
+from .errors import DomainError, SearchFailedError
 from .manifolds import (
     GeneratingGraph,
     ManifoldSpec,
@@ -40,7 +40,7 @@ from .manifolds import (
 )
 
 PARAM_DEDUP = 1e-6  # candidates closer than this in parameter space merge
-MAX_GRID = 1 << 17  # finest root-scan grid before the count is declared unstable
+POLISH_STEPS = 2  # Newton steps from the companion-matrix eigenvalues
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,8 @@ class CurveRoot:
 class CurveScan:
     roots: tuple[CurveRoot, ...]
     sign_change_count: int
-    grid: int
+    # ((samples, sign_change_count),): read by the benchmark's trace hook, which
+    # goes once that hook counts from ``roots`` (ROADMAP direction 1)
     history: tuple[tuple[int, int], ...]
 
 
@@ -152,104 +153,88 @@ def _wrap_dist(a, b):  # distance on the circle, elementwise
     return np.minimum(d, TWO_PI - d)
 
 
-def scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> CurveScan:
+def scan_curve_roots(curve: TrigImmersion, z) -> CurveScan:
     """All roots of g(t) = omega(gamma(t)-z, gamma'(t)) on the circle.
 
-    Sign-change roots come from a grid doubled until the count is stable under
-    refinement twice in a row (else an unstable-count error with the two
-    bracketing counts), then bisected and Newton-polished all at once. Each
-    doubling evaluates only the new midpoints: the coarse points are exact
-    subsamples of the finer grid. Bisection stops once a pass leaves every
-    bracket unchanged, a fixed point of the iteration. Tangential roots, which
-    give no sign change, are found separately from near-zero local minima of
-    |g| away from the sign changes.
+    Curve frequencies are integers up to K, so g is a trigonometric polynomial
+    of degree at most 2K, fixed exactly by its 4K + 1 samples. With D the
+    highest frequency whose Fourier coefficient stands above the sample noise,
+    w^D g is a polynomial of degree 2D in w = e^(it), and the real roots of g
+    are its roots on the unit circle: eigenvalues of its companion matrix.
+
+    Noise in g moves a root by about r, where |g'| r + |g''| r^2/2 = noise:
+    noise/|g'| at a simple root, sqrt(2 noise/|g''|) at a double root, whose
+    two eigenvalues land about sqrt(eps) apart. Eigenvalues within r/2 of the
+    circle are kept, and kept neighbours closer than r merge into one
+    tangential root. Newton steps polish simple roots on g and merged ones on
+    g'; a root is accepted when |g| at its polished t is within the noise.
+    ``sign_change_count`` counts the roots of odd multiplicity. A g whose
+    coefficients are all noise vanishes identically, so the partners form a
+    continuum: :class:`DomainError`.
     """
     if curve.m != 1:
         raise ValueError("root scan requires a curve (m = 1)")
-    n = int(grid)
-    if n < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
     z = as_phase_vector(z)
 
-    def g(ts) -> np.ndarray:
-        gamma, d1 = curve.curve_jet(ts, (0, 1))
-        return omega_pairwise(gamma - z, d1)
+    def jets(ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # g, g' and g'' at ts
+        gamma, d1, d2, d3 = curve.curve_jet(ts, (0, 1, 2, 3))
+        d0 = gamma - z
+        return omega_pairwise(d0, d1), omega_pairwise(d0, d2), omega_pairwise(d1, d2) + omega_pairwise(d0, d3)
 
-    history: list[tuple[int, int]] = []
-    ts = np.arange(n) * (TWO_PI / n)
-    gv = g(ts)
-    while True:
-        sign = np.where(gv >= 0.0, 1.0, -1.0)
-        flips = np.nonzero(sign * np.roll(sign, -1) < 0)[0]
-        history.append((n, len(flips)))
-        if len(history) >= 3 and history[-1][1] == history[-2][1] == history[-3][1]:
-            break
-        if n >= MAX_GRID:
-            lo = min(history[-1][1], history[-2][1])
-            hi = max(history[-1][1], history[-2][1])
-            raise UnstableCountError(
-                f"root count did not stabilize by grid {n} (bracketing counts {lo} and {hi})", lo, hi
-            )
-        mids = np.arange(1, 2 * n, 2) * (TWO_PI / (2 * n))
-        ts, gv = np.stack([ts, mids], axis=1).ravel(), np.stack([gv, g(mids)], axis=1).ravel()
-        n *= 2
-
-    h = TWO_PI / n
-    gscale = max(1.0, float(np.max(np.abs(gv))))
-    t = a = ts[flips]
-    if flips.size:  # all brackets at once
-        fa, b = gv[flips], a + h
-        for _ in range(50):  # bisection; a bracket that hits an exact zero collapses to it
-            m = 0.5 * (a + b)
-            fm = g(m)
-            left = (fm < 0.0) == (fa < 0.0)
-            state = np.where(left | (fm == 0.0), m, a), np.where(left & (fm != 0.0), b, m), np.where(left, fm, fa)
-            fixed = all(np.array_equal(new, old) for new, old in zip(state, (a, b, fa)))
-            a, b, fa = state
-            if fixed:  # the next passes would repeat this one
-                break
-        t = 0.5 * (a + b)
-        live = np.ones(t.shape, dtype=bool)
-        for _ in range(4):  # Newton polish; a root stops at its first step off its bracket
-            gamma, d1, d2 = curve.curve_jet(t, (0, 1, 2))  # g and g' = omega(gamma - z, gamma'')
-            gt, d = omega_pairwise(gamma - z, d1), omega_pairwise(gamma - z, d2)
-            ok = np.abs(d) >= 1e-300
-            t2 = t - np.divide(gt, d, out=np.zeros_like(d), where=ok)
-            live &= ok & (ts[flips] - h <= t2) & (t2 <= ts[flips] + 2 * h)
-            t = np.where(live, t2, t)
-    roots = t % TWO_PI
-
-    # tangential roots: local minima of |g| that refine to (numerically) zero. A
-    # minimum beside a sign change (at i - 1 or i) has that simple root in its
-    # window, which the dedup below would discard, so it is skipped.
-    tangential: list[float] = []
-    absg = np.abs(gv)
-    flip_at = np.zeros(n, dtype=bool)
-    flip_at[flips] = True
-    is_min = (absg <= np.roll(absg, 1)) & (absg <= np.roll(absg, -1)) & (absg < 1e-3 * gscale)
-    for i in np.nonzero(is_min & ~flip_at & ~np.roll(flip_at, 1))[0]:
-        x, _ = minimize_scalar(lambda s: g(s)[0] ** 2, (ts[i] - h, ts[i] + h), xatol=1e-13)
-        tc = x % TWO_PI
-        if abs(g(tc)[0]) <= 1e-9 * gscale and np.all(_wrap_dist(tc, np.append(roots, tangential)) > PARAM_DEDUP):
-            tangential.append(tc)
-
-    gamma, d2 = curve.curve_jet(roots, (0, 2))
+    K = max((abs(f[0]) for terms in curve.coeffs for f, _, _ in terms), default=0)
+    n = 4 * K + 1
+    gamma, d1 = curve.curve_jet(np.arange(n) * (TWO_PI / n), (0, 1))
     d0 = gamma - z
-    gp_scale = np.maximum(1.0, np.linalg.norm(d0, axis=1) * np.linalg.norm(d2, axis=1))
-    flat = np.abs(omega_pairwise(d0, d2)) <= 1e-7 * gp_scale
-    out = list(map(CurveRoot, roots.tolist(), flat.tolist())) + [CurveRoot(t, True) for t in tangential]
-    out.sort(key=lambda r: r.t)
-    return CurveScan(tuple(out), len(flips), n, tuple(history))
+    c = np.fft.rfft(omega_pairwise(d0, d1)) / n  # c_0 .. c_2K; c_-k = conj(c_k)
+    scale = float(np.max(np.linalg.norm(d0, axis=1) * np.linalg.norm(d1, axis=1)))
+    noise = NOISE_ULPS * n * np.finfo(float).eps * scale  # rounding in the samples, so in each c_k and in g
+    big = np.flatnonzero(np.abs(c) > noise)
+    if not big.size:
+        raise DomainError("g(t) = omega(gamma(t) - z, gamma'(t)) vanishes identically: the partners form a continuum")
+    D = int(big[-1])
+    w = np.roots(np.concatenate([c[D:0:-1], c[:1], np.conj(c[1:D + 1])]))
+
+    re, im = np.angle(w) % TWO_PI, np.log(np.abs(w))  # t = re - i im
+    _, g1, g2 = jets(re)
+    den = np.abs(g1) + np.sqrt(g1 * g1 + 2.0 * noise * np.abs(g2))
+    r = np.divide(2.0 * noise, den, out=np.full_like(den, np.inf), where=den > 0.0)
+    near = np.abs(im) <= 0.5 * r
+    if not near.any():
+        return CurveScan((), 0, ((n, 0),))
+    re, im, r = re[near], im[near], r[near]
+    # clusters: chains of kept eigenvalues closer than r, by transitive closure
+    dre = (re[:, None] - re + np.pi) % TWO_PI - np.pi
+    close = np.hypot(dre, im[:, None] - im) <= np.maximum.outer(r, r)
+    for _ in range(re.size.bit_length()):
+        close = close @ close
+    label = np.unique(np.argmax(close, axis=1), return_inverse=True)[1]
+    size = np.bincount(label)
+    t = np.angle(np.bincount(label, np.cos(re)) + 1j * np.bincount(label, np.sin(re)))
+    cluster = size > 1
+
+    reach = np.bincount(label, r) / size
+    live = np.ones(t.shape, dtype=bool)
+    for _ in range(POLISH_STEPS):  # Newton on g, or on g' for a cluster; a root stops at its first step beyond r
+        g0, g1, g2 = jets(t)
+        f, fp = np.where(cluster, g1, g0), np.where(cluster, g2, g1)
+        dt = np.divide(f, fp, out=np.zeros_like(f), where=fp != 0.0)
+        live &= np.abs(dt) <= reach
+        t = np.where(live, t - dt, t)
+    keep = np.abs(jets(t)[0]) <= noise
+    t, cluster, size = t[keep] % TWO_PI, cluster[keep], size[keep]
+    order = np.argsort(t)
+    count = int(np.sum(size % 2))
+    return CurveScan(tuple(map(CurveRoot, t[order].tolist(), cluster[order].tolist())), count, ((n, count),))
 
 
-def step_curve(curve: TrigImmersion | ManifoldSpec, z, grid: int = 2048) -> list[StepCandidate]:
+def step_curve(curve: TrigImmersion | ManifoldSpec, z) -> list[StepCandidate]:
     """All correspondence partners of z across a curve, sorted by midpoint parameter."""
     spec = curve if isinstance(curve, ManifoldSpec) else spec_for(curve)
     trig = spec.as_trig
     if trig is None or trig.m != 1:
         raise ValueError("step_curve requires a curve table")
     z = as_phase_vector(z)
-    roots = scan_curve_roots(trig, z, grid=grid).roots
+    roots = scan_curve_roots(trig, z).roots
     ts = np.array([r.t for r in roots])
     mids, tangents = trig.curve_jet(ts, (0, 1))
     cands = [
@@ -384,7 +369,7 @@ def iterate_ellipsoid(ell: SymplecticEllipsoid, z0, steps: int, branch: int = 1)
     return out
 
 
-def iterate(spec: ManifoldSpec | Table, z0, steps: int, branch: int = 1, grid: int = 2048) -> np.ndarray:
+def iterate(spec: ManifoldSpec | Table, z0, steps: int, branch: int = 1) -> np.ndarray:
     """Follow one branch of the correspondence; returns the (steps+1, 2d) trajectory.
 
     On an ellipsoid, branch +1 is the forward map of :func:`step_ellipsoid`, stepped
@@ -404,7 +389,7 @@ def iterate(spec: ManifoldSpec | Table, z0, steps: int, branch: int = 1, grid: i
     trig = spec.as_trig
     pts = [z]
     for k in range(steps):
-        cands = [c for c in step_curve(trig, z, grid=grid) if not c.degenerate]
+        cands = [c for c in step_curve(trig, z) if not c.degenerate]
         chords = np.reshape([c.partner - z for c in cands], (-1, z.size))
         ts = np.array([c.midpoint_param[0] for c in cands])
         score = branch * np.sum(chords * trig.curve_batch(ts, 1), axis=1)
@@ -521,7 +506,6 @@ def step(
     branch: int = 1,
     seed: int = 0,
     starts: int = 64,
-    grid: int = 2048,
 ) -> list[StepCandidate]:
     """Enumerate correspondence partners of z for any supported table."""
     if not isinstance(spec, ManifoldSpec):
@@ -530,7 +514,7 @@ def step(
     table = spec.table
     if isinstance(table, TrigImmersion):
         if spec.is_curve:
-            return step_curve(spec, z, grid=grid)
+            return step_curve(spec, z)
         raise ValueError("no step solver for torus immersions of dimension >= 2")
     z_local = spec.transform.inverse()(z) if spec.transform else z
     if isinstance(table, SymplecticEllipsoid):

@@ -100,7 +100,7 @@ def curve_wall_samples(
     return out
 
 
-def multiplicity_curve(curve: TrigImmersion | ManifoldSpec, P, grid: int = 2048) -> int:
+def multiplicity_curve(curve: TrigImmersion | ManifoldSpec, P) -> int:
     """Number of partners of P across the curve (P assumed off the wall).
 
     Root counting is refused near the wall: a tangential root means the count
@@ -108,7 +108,7 @@ def multiplicity_curve(curve: TrigImmersion | ManifoldSpec, P, grid: int = 2048)
     guess.
     """
     c = _as_curve(curve)
-    scan = scan_curve_roots(c, P, grid=grid)
+    scan = scan_curve_roots(c, P)
     count = scan.sign_change_count
     if any(r.tangential for r in scan.roots):
         raise UnstableCountError(

@@ -3,9 +3,9 @@
 Everything here is deliberately implemented by a different route than the
 library: finite differences instead of analytic derivatives, dense grid
 scanning plus local Newton instead of closed-form elimination, shoelace
-instead of the symplectic chord sum. ``reference_scan_curve_roots`` is the
-plain form of the curve root scan that the library's one-pass scan must
-reproduce bit for bit.
+instead of the symplectic chord sum. ``reference_scan_curve_roots`` finds
+the curve roots with a refined sign-change grid, bisection and Brent's
+method, the library's companion-matrix solve by a different route.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ from collections.abc import Callable
 import numpy as np
 
 from osbk.core import as_phase_vector, minimize_scalar, omega_pairwise
-from osbk.correspondence import MAX_GRID, PARAM_DEDUP, CurveRoot, CurveScan, _wrap_dist
+from osbk.correspondence import PARAM_DEDUP, CurveRoot, CurveScan, _wrap_dist
 from osbk.errors import UnstableCountError
 from osbk.manifolds import TWO_PI, TrigImmersion
+
+MAX_GRID = 1 << 17  # finest root-scan grid before the count is declared unstable
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -110,9 +112,11 @@ def brute_conic_solutions(
 
 
 def reference_scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> CurveScan:
-    """The curve root scan done plainly: every grid level evaluated in full,
-    all 50 bisection passes, separate ``curve_batch`` calls for each
-    derivative, and Brent's method on every near-zero grid minimum of |g|."""
+    """The curve roots by a sign-change grid, doubled from ``grid`` until the
+    count holds for three levels, every grid level evaluated in full, all 50
+    bisection passes, separate ``curve_batch`` calls for each derivative, and
+    Brent's method on every near-zero grid minimum of |g| (tangential roots).
+    ``history`` lists (grid, sign changes) per level."""
     z = as_phase_vector(z)
 
     def g(ts, order: int = 1) -> np.ndarray:
@@ -168,4 +172,4 @@ def reference_scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> Cur
     flat = np.abs(omega_pairwise(d0, d2)) <= 1e-7 * gp_scale
     out = list(map(CurveRoot, roots.tolist(), flat.tolist())) + [CurveRoot(t, True) for t in tangential]
     out.sort(key=lambda r: r.t)
-    return CurveScan(tuple(out), len(flips), n, tuple(history))
+    return CurveScan(tuple(out), len(flips), tuple(history))

@@ -1,4 +1,6 @@
+import contextlib
 import importlib.metadata
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import osbk
 from osbk import cli
@@ -86,7 +90,6 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["step", "--manifold", man(CIRCLE), "--z", "2,0", "--grid", "0"],
             ["step", "--manifold", man(CIRCLE), "--z", "2,0", "--tolerances", "5"],
             ["step", "--manifold", man(CIRCLE), "--z", "2,0", "--tolerances", '{"residual": -1}'],
             ["step", "--manifold", man(CIRCLE), "--z", "2,0", "--tolerances", '{"residual": NaN}'],
@@ -99,13 +102,30 @@ class TestConfigHandling:
             ["iterate", "--manifold", man(CIRCLE), "--z", "2,0", "--steps", "3", "--branch", "0"],
             ["iterate", "--manifold", man(CIRCLE), "--z", "2,0", "--steps", "3", "--branch", "7"],
         ],
-        ids=["grid-0", "tolerances-number", "tolerance-negative", "tolerance-nan", "trials-0", "trials-negative",
+        ids=["tolerances-number", "tolerance-negative", "tolerance-nan", "trials-0", "trials-negative",
              "steps-negative", "classify-nan", "classify-inf", "probes-nan", "branch-0", "branch-7"],
     )
     def test_out_of_range_value_rejected(self, argv, capsys):
         rc, _, err = run(argv, capsys)
         assert rc == 3
         assert json.loads(err)["error"]["code"] == "config"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["step", "--manifold", man(CIRCLE), "--z", "2,0"],
+            ["iterate", "--manifold", man(CIRCLE), "--z", "2,0", "--steps", "3"],
+            ["wall", "--manifold", man(CIRCLE), "--t-count", "8"],
+        ],
+        ids=["step", "iterate", "wall"],
+    )
+    def test_removed_grid_flag_rejected(self, argv, capsys):
+        # the curve root solve has no grid, so the flag is gone, not ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--grid", "8"])
+        assert exc.value.code == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "config" and "--grid" in err["message"]
 
     def test_manifold_required(self, capsys):
         rc, _, err = run(["step", "--z", "2,0"], capsys)
@@ -140,6 +160,51 @@ class TestConfigHandling:
         assert json.loads(err)["error"]["code"] == "config"
 
 
+# argv fuzz vocabulary: the flags of every command plus removed and unknown ones,
+# and values of every kind; the leading counts keep each run small
+_FUZZ_BASE = {
+    "step": ["--z", "2,0"],
+    "iterate": ["--z", "2,0", "--steps", "3"],
+    "periodic": ["--n", "3", "--starts", "4"],
+    "wall": ["--t-count", "8"],
+    "classify": ["--coeffs", "0,1,1,0", "--trials", "20"],
+    "integrability": ["--steps", "5", "--pairs", "4", "--bracket-points", "4"],
+    "check": ["--samples", "8", "--probe-count", "2"],
+}
+_FUZZ_MANIFOLDS = [
+    man(CIRCLE), man(LAG_PLANE), man(ELL), man(FT), "{", "[]", '{"kind": "nope"}', '{"kind": "trig", "m": 1}',
+    '{"kind": "ellipsoid", "axes": [-1]}', '{"kind": "graph", "n": 2, "terms": [[[1], 1.0]]}', "@/nonexistent.json",
+]
+_FUZZ_FLAGS = [
+    "--grid", "--z", "--steps", "--branch", "--starts", "--n", "--mode", "--t-count", "--plane-grid", "--probes",
+    "--trials", "--coeffs", "--samples", "--seed", "--tolerances", "--pairs", "--bogus", "--manifold", "--config",
+]
+_FUZZ_VALUES = [
+    "0", "1", "-1", "3", "1.5", "2,0", "-2,0", "0,0,0,0", "2,0,1,0", "nan", "1e400", "x", "", "max", "both",
+    "[[2,0]]", "[[NaN,0]]", "[]", "{}", '{"residual": 1e-9}', '{"slack": 1}', "-0.5,0.5",
+]
+
+
+class TestArgvFuzz:
+    @settings(max_examples=100)
+    @given(
+        st.sampled_from(sorted(_FUZZ_BASE)),
+        st.sampled_from(_FUZZ_MANIFOLDS),
+        st.lists(st.tuples(st.sampled_from(_FUZZ_FLAGS), st.sampled_from(_FUZZ_VALUES)), max_size=3),
+    )
+    def test_exit_code_and_error_json(self, command, manifold, extra):
+        argv = [command, *_FUZZ_BASE[command], "--manifold", manifold, *(t for pair in extra for t in pair)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as e:
+                rc = e.code
+        assert rc in (0, 2, 3), (argv, err.getvalue())
+        if rc:
+            assert isinstance(json.loads(err.getvalue())["error"]["code"], str)
+
+
 class TestStep:
     def test_frozen_partners_and_csv(self, tmp_path):
         out = tmp_path / "r"
@@ -157,6 +222,12 @@ class TestStep:
         rc, out, _ = run(["step", "--manifold", man(CIRCLE), "--z", "0.2,0"], capsys)
         assert rc == 0
         assert json.loads(out)["count"] == 0
+
+    def test_lagrangian_plane_source_is_domain_error(self, capsys):
+        # every midpoint is a partner of a source in the curve's Lagrangian plane
+        rc, out, err = run(["step", "--manifold", man(LAG_PLANE), "--z", "0,0,0,0"], capsys)
+        assert rc == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "domain"
 
     def test_result_json_is_sorted_with_trailing_newline(self, tmp_path):
         out = tmp_path / "r"
