@@ -70,6 +70,12 @@ class TestCurveScan:
         with pytest.raises(TypeError):
             osbk.scan_curve_roots(osbk.circle(), np.array([2.0, 0.0]), grid=64)
 
+    @pytest.mark.parametrize("grid", [0, -4])
+    def test_grid_below_one_rejected(self, grid):
+        # a grid below one was a config error; now any grid is an unknown argument
+        with pytest.raises(TypeError, match="grid"):
+            osbk.scan_curve_roots(osbk.circle(), np.array([2.0, 0.0]), grid=grid)
+
     @pytest.mark.parametrize("z", [[0.0, 0.0, 0.0, 0.0], [0.4, 0.0, -0.3, 0.0]], ids=["origin", "in-plane"])
     def test_identically_zero_is_domain_error(self, z):
         # a circle in the Lagrangian plane p = 0: omega(gamma - z, gamma') = 0 for every t
