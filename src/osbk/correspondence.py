@@ -167,7 +167,8 @@ def scan_curve_roots(curve: TrigImmersion, z) -> CurveScan:
     two eigenvalues land about sqrt(eps) apart. Eigenvalues within r/2 of the
     circle are kept, and kept neighbours closer than r merge into one
     tangential root. Newton steps polish simple roots on g and merged ones on
-    g'; a root is accepted when |g| at its polished t is within the noise.
+    g'. A complex pair further than r/2 from the circle keeps |g| above the
+    noise along the real axis, so it is no root.
     ``sign_change_count`` counts the roots of odd multiplicity. A g whose
     coefficients are all noise vanishes identically, so the partners form a
     continuum: :class:`DomainError`.
@@ -186,8 +187,11 @@ def scan_curve_roots(curve: TrigImmersion, z) -> CurveScan:
     gamma, d1 = curve.curve_jet(np.arange(n) * (TWO_PI / n), (0, 1))
     d0 = gamma - z
     c = np.fft.rfft(omega_pairwise(d0, d1)) / n  # c_0 .. c_2K; c_-k = conj(c_k)
-    scale = float(np.max(np.linalg.norm(d0, axis=1) * np.linalg.norm(d1, axis=1)))
-    noise = NOISE_ULPS * n * np.finfo(float).eps * scale  # rounding in the samples, so in each c_k and in g
+    # a sample rounds gamma and z before it subtracts them, so the rounding scales
+    # with |gamma| + |z|, not with |gamma - z|: on a small curve far from the
+    # origin the difference is tiny but its error is not
+    magnitude = np.max(np.linalg.norm(gamma, axis=1)) + np.linalg.norm(z)
+    noise = NOISE_ULPS * n * np.finfo(float).eps * float(magnitude * np.max(np.linalg.norm(d1, axis=1)))
     big = np.flatnonzero(np.abs(c) > noise)
     if not big.size:
         raise DomainError("g(t) = omega(gamma(t) - z, gamma'(t)) vanishes identically: the partners form a continuum")
@@ -220,8 +224,7 @@ def scan_curve_roots(curve: TrigImmersion, z) -> CurveScan:
         dt = np.divide(f, fp, out=np.zeros_like(f), where=fp != 0.0)
         live &= np.abs(dt) <= reach
         t = np.where(live, t - dt, t)
-    keep = np.abs(jets(t)[0]) <= noise
-    t, cluster, size = t[keep] % TWO_PI, cluster[keep], size[keep]
+    t %= TWO_PI
     order = np.argsort(t)
     count = int(np.sum(size % 2))
     return CurveScan(tuple(map(CurveRoot, t[order].tolist(), cluster[order].tolist())), count, ((n, count),))

@@ -119,13 +119,15 @@ class TestConfigHandling:
         ],
         ids=["step", "iterate", "wall"],
     )
-    def test_removed_grid_flag_rejected(self, argv, capsys):
-        # the curve root solve has no grid, so the flag is gone, not ignored
+    def test_removed_grid_flag_rejected(self, argv, capsys, tmp_path):
+        # the curve root solve has no grid, so the flag is gone, not ignored;
+        # a command line that does not parse names no --out, so no error.json
         with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, "--grid", "8"])
+            cli.main([*argv, "--out", str(tmp_path / "run"), "--grid", "8"])
         assert exc.value.code == 3
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "config" and "--grid" in err["message"]
+        assert not (tmp_path / "run").exists()
 
     def test_manifold_required(self, capsys):
         rc, _, err = run(["step", "--z", "2,0"], capsys)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osbk
+from osbk.core import omega_pairwise
 
 from .conftest import random_symplectic
 from .oracles import reference_scan_curve_roots
@@ -66,13 +67,10 @@ class TestCurveScan:
         assert scan.history == ((5, scan.sign_change_count),)
         assert osbk.scan_curve_roots(osbk.chebyshev_curve(), np.ones(4)).history[0][0] == 9
 
-    def test_grid_argument_removed(self):
-        with pytest.raises(TypeError):
-            osbk.scan_curve_roots(osbk.circle(), np.array([2.0, 0.0]), grid=64)
-
-    @pytest.mark.parametrize("grid", [0, -4])
+    @pytest.mark.parametrize("grid", [0, -4, 64])
     def test_grid_below_one_rejected(self, grid):
-        # a grid below one was a config error; now any grid is an unknown argument
+        # a grid below one was a config error; now any grid, valid once or not,
+        # is an unknown argument
         with pytest.raises(TypeError, match="grid"):
             osbk.scan_curve_roots(osbk.circle(), np.array([2.0, 0.0]), grid=grid)
 
@@ -112,26 +110,69 @@ class TestCurveScan:
 
 
 def _scan_sources(curve, seed):
-    """Seeded points off, on and near the curve and its wall."""
+    """Seeded points off, on and near the curve and its wall; the off-curve
+    points lie at radii 0.5 to 3 around the curve's constant term."""
     rng = np.random.default_rng(seed)
     dim = curve.ambient_dim
+    centre = np.array([sum(a for f, a, _ in terms if f == (0,)) for terms in curve.coeffs], dtype=float)
     out = []
     for r in rng.uniform(0.5, 3.0, 6):
         v = rng.normal(size=dim)
-        out.append(r * v / np.linalg.norm(v))
+        out.append(centre + r * v / np.linalg.norm(v))
     for t in rng.uniform(0.0, 2 * np.pi, 4):
         g0, g2 = curve.deriv(t, 0), curve.deriv(t, 2)
         out += [g0 + 1e-2 * g2, g0 - 1e-2 * g2, g0, g0 + 1e-4 * g2, g0 + 1e-6 * g2]
     return out
 
 
+def _trig_curve(K, dim, seed):
+    """A seeded trig curve of degree K: the unit circle in the first plane plus
+    random harmonics of every frequency up to K in every coordinate."""
+    rng = np.random.default_rng(seed)
+    coeffs = []
+    for i in range(dim):
+        terms = [((1,), 1.0 - i, float(i))] if i < 2 else []
+        for k in range(2 if i < 2 else 1, K + 1):
+            a, b = 0.3 * rng.normal(size=2) / k
+            terms.append(((k,), float(a), float(b)))
+        coeffs.append(tuple(terms))
+    return osbk.TrigImmersion(1, tuple(coeffs))
+
+
+# the Chebyshev (1, 2) curve stretched 8:1 in its first plane and moved far
+# from the origin, as a manifold JSON "transform" does
+_MOVED = osbk.spec_for(
+    osbk.chebyshev_curve(),
+    transform=osbk.AffineSymplectic(np.diag([8.0, 0.125, 1.0, 1.0]), np.array([300.0, -100.0, 50.0, 200.0])),
+).as_trig
+
+_PARITY_CURVES = pytest.mark.parametrize(
+    "curve",
+    [osbk.circle(), osbk.chebyshev_curve(), _trig_curve(3, 4, 1), _MOVED],
+    ids=["circle", "chebyshev", "trig-K3", "chebyshev-moved"],
+)
+
+
+def _rounding(curve, z):
+    """Degree K of a trig curve and the ulp of g = omega(gamma - z, gamma') at
+    its 4K + 1 samples: eps (max|gamma| + |z|) max|gamma'|. Evaluating g sums
+    2K + 1 trig terms per coordinate, so g rounds by up to 2K + 1 such ulp."""
+    K = max(abs(f[0]) for terms in curve.coeffs for f, _, _ in terms)
+    gamma, d1 = curve.curve_jet(np.arange(4 * K + 1) * (2 * np.pi / (4 * K + 1)), (0, 1))
+    size = np.max(np.linalg.norm(gamma, axis=1)) + np.linalg.norm(z)
+    return K, np.finfo(float).eps * size * np.max(np.linalg.norm(d1, axis=1))
+
+
 class TestScanMatchesReference:
     """The companion-matrix solve agrees with the refined-grid oracle.
 
-    Root counts, tangential flags and sign-change counts are equal. Simple
-    roots agree to 1e-12. Tangential roots agree to 1e-6: the oracle's Brent
-    minimization of g^2, which is quartic there, resolves a double root to
-    about 1e-7 only, while the solve's Newton steps on g' find it to rounding.
+    Root counts, tangential flags and sign-change counts are equal. A simple
+    root t agrees with the oracle's t to |g'(t)| |dt| <= 2 (2K + 1) ulp of g:
+    both are roots of g to within its evaluation rounding. Tangential roots
+    agree to 1e-6: the oracle's Brent minimization of g^2, which is quartic
+    there, resolves a double root to about 1e-7 only, while the solve's Newton
+    steps on g' find it to rounding. The curves are unit-sized: the oracle's
+    tolerances are absolute.
     """
 
     @staticmethod
@@ -140,17 +181,23 @@ class TestScanMatchesReference:
         assert len(got.roots) == len(ref.roots)
         assert [r.tangential for r in got.roots] == [r.tangential for r in ref.roots]
         assert got.sign_change_count == ref.sign_change_count
+        K, ulp = _rounding(curve, z)
         for a, b in zip(got.roots, ref.roots):
             gap = abs(a.t - b.t) % (2 * np.pi)
-            assert min(gap, 2 * np.pi - gap) <= (1e-6 if a.tangential else 1e-12)
+            gap = min(gap, 2 * np.pi - gap)
+            if a.tangential:
+                assert gap <= 1e-6
+            else:
+                gamma, d2 = curve.curve_jet(a.t, (0, 2))
+                assert gap * abs(omega_pairwise(gamma - z, d2)[0]) <= 2 * (2 * K + 1) * ulp
 
-    @pytest.mark.parametrize("curve", [osbk.circle(), osbk.chebyshev_curve()], ids=["circle", "chebyshev"])
+    @_PARITY_CURVES
     def test_seeded_sources(self, curve):
         for seed in range(10):
             for z in _scan_sources(curve, seed):
                 self.assert_same(curve, z)
 
-    @pytest.mark.parametrize("curve", [osbk.circle(), osbk.chebyshev_curve()], ids=["circle", "chebyshev"])
+    @_PARITY_CURVES
     def test_near_wall_probes(self, curve):
         for t in np.random.default_rng(5).uniform(0.0, 2 * np.pi, 8):
             g0, g2 = curve.deriv(t, 0), curve.deriv(t, 2)
@@ -165,6 +212,37 @@ class TestScanMatchesReference:
             tangential = [r.t for r in osbk.scan_curve_roots(g, z).roots if r.tangential]
             assert tangential == pytest.approx([t], abs=1e-12)
             self.assert_same(g, z)
+
+    @pytest.mark.parametrize("centre, radius", [((10.0, 0.0), 1e-2), ((1e3, -1e3), 1e-2), ((0.0, 0.0), 1e-3)])
+    def test_small_far_circle_matches_unit_circle(self, centre, radius):
+        # z -> centre + radius z maps the unit circle onto this one and scales g
+        # by radius^2, so the roots stay. The sample rounding scales with
+        # |gamma| + |z|, which the map does not shrink. The oracle's absolute
+        # tolerances do not scale, so the reference is the unit circle's solve.
+        unit, centre = osbk.circle(), np.array(centre)
+        small = osbk.TrigImmersion(
+            1, ((((1,), radius, 0.0), ((0,), centre[0], 0.0)), (((1,), 0.0, radius), ((0,), centre[1], 0.0)))
+        )
+        for seed in range(3):
+            for z in _scan_sources(unit, seed):
+                got, ref = osbk.scan_curve_roots(small, centre + radius * z), osbk.scan_curve_roots(unit, z)
+                assert [r.tangential for r in got.roots] == [r.tangential for r in ref.roots]
+                assert got.sign_change_count == ref.sign_change_count
+                assert [r.t for r in got.roots] == pytest.approx([r.t for r in ref.roots], abs=1e-6)
+
+    @pytest.mark.parametrize("K, dim, seed", [(12, 4, 5), (16, 2, 6)])
+    def test_polished_roots_at_evaluation_rounding(self, K, dim, seed):
+        # Newton on g leaves a simple root where g is within its evaluation
+        # rounding, 2K + 1 ulp; the companion-matrix eigenvalues alone sit
+        # several times further off at this degree
+        curve = _trig_curve(K, dim, seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            t = rng.uniform(0.0, 2 * np.pi)
+            for z in (2.0 * rng.normal(size=dim), curve.deriv(t, 0) - 1e-4 * curve.deriv(t, 2)):
+                ts = np.array([r.t for r in osbk.scan_curve_roots(curve, z).roots if not r.tangential])
+                gamma, d1 = curve.curve_jet(ts, (0, 1))
+                assert np.all(np.abs(omega_pairwise(gamma - z, d1)) <= (2 * K + 1) * _rounding(curve, z)[1])
 
 
 class TestCircleStep:
