@@ -24,13 +24,14 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Any, Callable
 
 import numpy as np
 
 from . import correspondence, integrability, variational, wall
 from ._pool import task_rng
-from .core import AffineLagrangian, as_phase_vector
+from .core import AffineLagrangian, as_phase_vector, interleave
 from .errors import ConfigError, OsbkError, SearchFailedError
 from .manifolds import (
     ManifoldSpec,
@@ -486,42 +487,30 @@ def _run_classify(spec: ManifoldSpec | None, p: dict, seed: int, tols: dict) -> 
 
 def _run_integrability(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict, Series]:
     ints = integrability.integrals_for(spec)
-    dim = spec.ambient_dim
-    rng = task_rng(seed, 1)
-    bmax = 0.0
-    for _ in range(p["bracket_points"]):
-        z = rng.uniform(-2.0, 2.0, dim)
-        for a in range(len(ints.evaluators)):
-            for b in range(a + 1, len(ints.evaluators)):
-                bmax = max(bmax, abs(integrability.poisson_bracket(ints.evaluators[a], ints.evaluators[b], z)))
-    names = [f"I_{i + 1}" for i in range(len(ints.evaluators))]
-    series: Series = {}
+    # one (points, 2d) draw gives the same stream as one draw per point
+    Z = task_rng(seed, 1).uniform(-2.0, 2.0, (p["bracket_points"], spec.ambient_dim))
+    brackets = [integrability.poisson_bracket(f, g, Z) for f, g in combinations(ints.evaluators, 2)]
+    bmax = float(np.max(np.abs(brackets), initial=0.0))
     if ints.kind == "ellipsoid":
         if p["z"] is None:
             raise ConfigError("integrability on an ellipsoid needs a start point z")
         pts = correspondence.iterate(spec, p["z"], p["steps"], branch=p["branch"])
         audit = integrability.audit_invariance(spec, ints, pts)
-        rows = [[k, *(e.value(z) for e in ints.evaluators)] for k, z in enumerate(pts)]
-        series["drift"] = (["step"] + names, rows)
+        rows = [[k, *v] for k, v in enumerate(ints.values(pts))]
         extra = {"steps": p["steps"]}
     else:
         graph = spec.table
         lo, hi = graph.box
         rng_pairs = task_rng(seed, 2)
-        chords = []
-        for _ in range(p["pairs"]):
-            q = rng_pairs.uniform(lo, hi, graph.n)
-            w = rng_pairs.uniform(-1.0, 1.0, graph.n)
-            while float(np.linalg.norm(w)) < 1e-3:
-                w = rng_pairs.uniform(-1.0, 1.0, graph.n)
-            g, Hw = graph.grad(q), graph.hess(q) @ w
-            A, B = np.empty(dim), np.empty(dim)
-            A[0::2], A[1::2] = q + w, g + Hw
-            B[0::2], B[1::2] = q - w, g - Hw
-            chords.append((A, B))
-        audit = integrability.audit_chords(spec, ints, chords)
+        Q, W = np.empty((p["pairs"], graph.n)), np.empty((p["pairs"], graph.n))
+        for i in range(p["pairs"]):  # one pair at a time: a redraw of w moves the later pairs' draws
+            Q[i] = rng_pairs.uniform(lo, hi, graph.n)
+            W[i] = rng_pairs.uniform(-1.0, 1.0, graph.n)
+            while float(np.linalg.norm(W[i])) < 1e-3:
+                W[i] = rng_pairs.uniform(-1.0, 1.0, graph.n)
+        g, Hw = graph.grad(Q), (graph.hess(Q) @ W[:, :, None])[:, :, 0]
+        audit = integrability.audit_chords(spec, ints, interleave(Q + W, g + Hw), interleave(Q - W, g - Hw))
         rows = [[k, *drift] for k, drift in enumerate(audit.chord_drift)]
-        series["drift"] = (["step"] + names, rows)
         extra = {"pairs": p["pairs"]}
     result = {
         "command": "integrability",
@@ -532,7 +521,8 @@ def _run_integrability(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tu
         "seed": seed,
         **extra,
     }
-    return result, series
+    names = [f"I_{i + 1}" for i in range(len(ints.evaluators))]
+    return result, {"drift": (["step"] + names, rows)}
 
 
 def _auto_probes(spec: ManifoldSpec, count: int, seed: int) -> list[np.ndarray]:

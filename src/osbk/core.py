@@ -174,25 +174,25 @@ def omega_matrix(dim: int) -> np.ndarray:
 
 
 def apply_J(v) -> np.ndarray:
-    """Per-pair rotation (x, y) -> (-y, x); omega(u, v) = <J u, v>."""
+    """Per-pair rotation (x, y) -> (-y, x) of a vector or a stack (..., 2d); omega(u, v) = <J u, v>."""
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size % 2:
+    if v.ndim < 1 or v.shape[-1] % 2:
         raise ValueError("J needs an even-dimensional vector")
     out = np.empty_like(v)
-    out[0::2] = -v[1::2]
-    out[1::2] = v[0::2]
+    out[..., 0::2] = -v[..., 1::2]
+    out[..., 1::2] = v[..., 0::2]
     return out
 
 
 def interleave(x, y) -> np.ndarray:
-    """Assemble (x1, y1, ..., xd, yd) from the x-block and y-block."""
+    """Assemble (x1, y1, ..., xd, yd) from the x-block and y-block, or row by row from stacks (..., d)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("blocks must be 1-d and of equal length")
-    out = np.empty(2 * x.size)
-    out[0::2] = x
-    out[1::2] = y
+    if x.shape != y.shape or x.ndim < 1:
+        raise ValueError("blocks must be of equal shape with at least one axis")
+    out = np.empty(x.shape[:-1] + (2 * x.shape[-1],))
+    out[..., 0::2] = x
+    out[..., 1::2] = y
     return out
 
 
@@ -217,7 +217,7 @@ def symplectic_complement(basis) -> np.ndarray:
     for i in range(m):
         if np.linalg.matrix_rank(B[: i + 1]) != i + 1:
             raise ValueError(f"basis vector {i} is linearly dependent on the preceding ones")
-    A = np.array([apply_J(b) for b in B])
+    A = apply_J(B)
     _, s, vh = np.linalg.svd(A)
     rank = int(np.sum(s > scale_tol(A) if s.size else 0))
     return vh[rank:].copy()

@@ -15,35 +15,49 @@ which sign the data actually matched instead of hard-coding a convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, pairwise
-from typing import Iterable
 
 import numpy as np
 
-from .core import NOISE_ULPS, as_phase_vector, omega
+from .core import NOISE_ULPS, omega_pairwise
 from .errors import DomainError
 from .manifolds import GeneratingGraph, ManifoldSpec, SymplecticEllipsoid
 from .poly import Poly
 
 
+def _phase_points(z) -> np.ndarray:
+    """Validate one phase point (2d,) or a stack (N, 2d) of finite floats."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim not in (1, 2) or z.shape[-1] < 2 or z.shape[-1] % 2:
+        raise ValueError(f"phase points must have shape (2d,) or (N, 2d), got {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("phase points have non-finite entries")
+    return z
+
+
 @dataclass(frozen=True)
 class PolyIntegral:
-    """Scalar polynomial on phase space (interleaved coordinates) with exact gradient."""
+    """Scalar polynomial on phase space (interleaved coordinates) with exact gradient.
+
+    ``value`` and ``grad`` take one point (2d,) or a stack (N, 2d) and return
+    a float or (N,), and (2d,) or (N, 2d).
+    """
 
     poly: Poly
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_grads", tuple(self.poly.diff(i) for i in range(self.poly.n)))
+        # sum |c| |z^a|: the scale of the rounding error of value(z)
+        object.__setattr__(self, "_abs", Poly(self.poly.n, {k: abs(c) for k, c in self.poly.terms.items()}))
 
-    def value(self, z) -> float:
-        return float(self.poly(as_phase_vector(z)))
+    def value(self, z) -> float | np.ndarray:
+        return self.poly(_phase_points(z))
 
-    def __call__(self, z) -> float:
+    def __call__(self, z) -> float | np.ndarray:
         return self.value(z)
 
     def grad(self, z) -> np.ndarray:
-        z = as_phase_vector(z)
-        return np.array([float(g(z)) for g in self._grads])
+        z = _phase_points(z)
+        return np.stack([g(z) for g in self._grads], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -52,8 +66,9 @@ class IntegralSet:
     evaluators: tuple[PolyIntegral, ...]
 
     def values(self, z) -> np.ndarray:
-        z = as_phase_vector(z)
-        return np.array([e.value(z) for e in self.evaluators])
+        """All integrals at one point (2d,) -> (k,), or at a stack (N, 2d) -> (N, k)."""
+        z = _phase_points(z)
+        return np.stack([e.poly(z) for e in self.evaluators], axis=-1)
 
 
 def _lift_to_phase(p: Poly) -> Poly:
@@ -94,16 +109,16 @@ def integrals_for(spec: ManifoldSpec) -> IntegralSet:
     raise DomainError(f"no known integrals for this table kind ({spec.kind})")
 
 
-def _gradient_of(f, z: np.ndarray) -> np.ndarray:
-    if isinstance(f, Poly):
-        return np.array([float(f.diff(i)(z)) for i in range(f.n)])
-    return np.asarray(f.grad(z), dtype=float)
+def poisson_bracket(f, g, z) -> float | np.ndarray:
+    """{f, g}(z) = sum_i (df/dx_i dg/dy_i - df/dy_i dg/dx_i), gradients exact.
 
-
-def poisson_bracket(f, g, z) -> float:
-    """{f, g}(z) = sum_i (df/dx_i dg/dy_i - df/dy_i dg/dx_i), gradients exact."""
-    z = as_phase_vector(z)
-    return float(omega(_gradient_of(f, z), _gradient_of(g, z)))
+    ``f`` and ``g`` are integrals (a bare :class:`Poly` is wrapped once); ``z``
+    is one point (2d,) or a stack (N, 2d), giving a float or (N,).
+    """
+    z = _phase_points(z)
+    df, dg = ((PolyIntegral(h) if isinstance(h, Poly) else h).grad(z) for h in (f, g))
+    b = omega_pairwise(np.atleast_2d(df), np.atleast_2d(dg))
+    return float(b[0]) if z.ndim == 1 else b
 
 
 @dataclass(frozen=True)
@@ -111,10 +126,12 @@ class AuditReport:
     """Per-chord drift of every integral, plus the tensor-form sign check.
 
     ``worst_step`` is the first chord whose drift comes within ``NOISE_ULPS``
-    ulp of ``value_scale`` (the largest |I| the audit met) of the largest
-    drift: drifts that differ only by rounding are ties. When every drift is
-    rounding noise, as on an ellipsoid orbit, that is chord 0, and the index
-    does not move with last-digit changes to the orbit.
+    ulp of ``value_scale`` of the largest drift: drifts that differ only by
+    rounding are ties. ``value_scale`` is the largest absolute-coefficient
+    bound sum |c| |z^a| of an integral at an audited point (on an ellipsoid,
+    the largest |I|). When every drift is rounding noise, as on an ellipsoid
+    orbit or on cubic-graph chords, that is chord 0, and the index does not
+    move with last-digit changes to the data.
     """
 
     chord_drift: np.ndarray  # (steps, integrals): |I(B) - I(A)| of each chord
@@ -153,66 +170,51 @@ class AuditReport:
         }
 
 
-def _orbit_points(orbit: Iterable):
-    it = iter(orbit)
-    first = next(it, None)
-    if first is None:
-        return
-    if hasattr(first, "source") and hasattr(first, "partner"):
-        yield as_phase_vector(first.source)
-        yield as_phase_vector(first.partner)
-        for c in it:
-            yield as_phase_vector(c.partner)
-        return
-    yield as_phase_vector(first)
-    for p in it:
-        yield as_phase_vector(p)
-
-
-def audit_invariance(spec: ManifoldSpec, integrals: IntegralSet, orbit: Iterable) -> AuditReport:
+def audit_invariance(spec: ManifoldSpec, integrals: IntegralSet, orbit) -> AuditReport:
     """Max |I(z_{k+1}) - I(z_k)| per integral over an orbit of verified steps.
 
-    ``orbit`` is a sequence of phase points or of step candidates (chained by
-    their partners); its consecutive points are the chords of :func:`audit_chords`.
+    ``orbit`` is a point array (N, 2d), a list of phase points, or a list of
+    step candidates (chained by their partners). Its consecutive points are
+    the chords of :func:`audit_chords`.
     """
-    pts = _orbit_points(orbit)
-    first = next(pts, None)
-    if first is None:
+    if len(orbit) and hasattr(orbit[0], "partner"):
+        orbit = [orbit[0].source, *(c.partner for c in orbit)]
+    if not len(orbit):
         raise ValueError("orbit must contain at least one point")
-    return audit_chords(spec, integrals, pairwise(chain([first], pts)))
+    pts = np.asarray(orbit, dtype=float)
+    return audit_chords(spec, integrals, pts[:-1], pts[1:])
 
 
-def audit_chords(spec: ManifoldSpec, integrals: IntegralSet, chords: Iterable) -> AuditReport:
-    """|I(B) - I(A)| per integral for each chord (A, B) of the correspondence.
+def audit_chords(spec: ManifoldSpec, integrals: IntegralSet, A, B) -> AuditReport:
+    """|I(B_k) - I(A_k)| per integral for each chord (A_k, B_k) of the correspondence.
 
-    For cubic graphs every chord also compares I(A) against +/- (1/2) third
-    F(q)[w, w] at the chord's midpoint offset w; chords whose midpoint is off
-    the graph, and degenerate chords with w = 0, are left out of that
-    comparison.
+    ``A`` and ``B`` are (N, 2d) stacks of the chords' endpoints, each
+    evaluated in one pass. For cubic graphs every chord also compares I(A_k)
+    against +/- (1/2) third F(q)[w, w] at the chord's midpoint offset w;
+    chords whose midpoint is off the graph, and degenerate chords with w = 0,
+    are left out of that comparison. The report's ``value_scale`` is the
+    largest absolute-coefficient bound sum |c| |z^a| of any integral at any
+    endpoint, the scale of the rounding error in the drifts.
     """
-    graph = spec.table if integrals.kind == "cubic-graph" else None
-    drift, seen = [], []
-    mis_minus, mis_plus, audited = 0.0, 0.0, 0
-    prev = vals_prev = None
-    for A, B in chords:
-        vals_a = vals_prev if A is prev else integrals.values(A)  # consecutive chords share a point
-        prev, vals_prev = B, integrals.values(B)
-        drift.append(np.abs(vals_prev - vals_a))
-        seen += (vals_a, vals_prev)
-        if graph is not None:
-            A, B = as_phase_vector(A), as_phase_vector(B)
-            mid = 0.5 * (A + B)
-            q = mid[0::2]
-            w = A[0::2] - q
-            gq = graph.grad(q)
-            on_graph = float(np.max(np.abs(gq - mid[1::2]))) <= 1e-8 * max(1.0, float(np.max(np.abs(gq))))
-            if on_graph and float(np.linalg.norm(w)) > 1e-12:
-                half = 0.5 * np.einsum("ijk,j,k->i", graph.third(q), w, w)
-                mis_minus = max(mis_minus, float(np.max(np.abs(vals_a + half))))
-                mis_plus = max(mis_plus, float(np.max(np.abs(vals_a - half))))
-                audited += 1
-    drift = np.reshape(drift, (len(drift), len(integrals.evaluators)))
-    scale = float(np.max(np.abs(seen))) if seen else 0.0
-    if graph is not None and audited > 0:
-        return AuditReport(drift, "-" if mis_minus <= mis_plus else "+", mis_minus, mis_plus, scale)
+    A, B = _phase_points(A), _phase_points(B)
+    if A.ndim != 2 or A.shape != B.shape:
+        raise ValueError(f"chord endpoints must be two (N, 2d) stacks of one shape, got {A.shape} and {B.shape}")
+    va = integrals.values(A)
+    drift = np.abs(integrals.values(B) - va)
+    absz = np.abs(np.concatenate([A, B]))
+    scale = max((float(np.max(e._abs(absz), initial=0.0)) for e in integrals.evaluators), default=0.0)
+    if integrals.kind == "cubic-graph":
+        graph = spec.table
+        mid = 0.5 * (A + B)
+        q = mid[:, 0::2]
+        w = A[:, 0::2] - q
+        gq = graph.grad(q)
+        on_graph = np.max(np.abs(gq - mid[:, 1::2]), axis=1) <= 1e-8 * np.maximum(1.0, np.max(np.abs(gq), axis=1))
+        keep = on_graph & (np.linalg.norm(w, axis=1) > 1e-12)
+        if np.any(keep):
+            w = w[keep]
+            half = 0.5 * np.einsum("nijk,nj,nk->ni", graph.third(q[keep]), w, w)
+            mis_minus = float(np.max(np.abs(va[keep] + half)))
+            mis_plus = float(np.max(np.abs(va[keep] - half)))
+            return AuditReport(drift, "-" if mis_minus <= mis_plus else "+", mis_minus, mis_plus, scale)
     return AuditReport(drift, None, None, None, scale)

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import poly as _poly
-from .core import AffineLagrangian, AffineSymplectic, GEOMETRIC_TOL, NOISE_ULPS, minimize_scalar, omega_pairwise
+from .core import AffineLagrangian, AffineSymplectic, GEOMETRIC_TOL, NOISE_ULPS, interleave, minimize_scalar, omega_pairwise
 from .errors import ConfigError, ImmersionError
 
 TWO_PI = 2.0 * math.pi
@@ -447,9 +447,7 @@ class GeneratingGraph:
 
     def embed(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        z = np.empty(q.shape[:-1] + (self.ambient_dim,))
-        z[..., 0::2], z[..., 1::2] = q, self.grad(q)
-        return z
+        return interleave(q, self.grad(q))
 
     def tangent_rows(self, q) -> np.ndarray:
         """(n, 2n) rows d embed / d q_a = (e_a, hess F(q) e_a), interleaved."""

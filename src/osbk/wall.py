@@ -83,12 +83,12 @@ def curve_wall_samples(
     c = _as_curve(curve)
     plane_grid = [float(s) for s in plane_grid]
     ts = np.array([float(v) for v in t_grid])
+    g0s, g1s, g2s, g3s = c.curve_jet(ts, range(4))
+    rows = -apply_J(np.stack([g1s, g2s], axis=1))  # (T, 2, 2d): omega(P, v) = row(v) . P
+    _, sv, vts = np.linalg.svd(rows)
+    ranks = np.sum(sv > 1e-10 * np.maximum(sv[:, :1], 1.0), axis=1).tolist()
     out: list[WallSample] = []
-    for t, g0, g1, g2, g3 in zip(ts.tolist(), *c.curve_jet(ts, range(4))):
-        rows = np.vstack([-apply_J(g1), -apply_J(g2)])  # omega(P, v) = row(v) . P
-        sv = np.linalg.svd(rows, compute_uv=False)
-        rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
-        _, _, vt = np.linalg.svd(rows)
+    for t, rank, vt, g0, g1, g2, g3 in zip(ts.tolist(), ranks, vts, g0s, g1s, g2s, g3s):
         kernel = vt[rank:]
         if kernel.shape[0] == 0:
             combos: list[tuple[float, ...]] = [()]

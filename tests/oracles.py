@@ -6,6 +6,8 @@ scanning plus local Newton instead of closed-form elimination, shoelace
 instead of the symplectic chord sum. ``reference_scan_curve_roots`` finds
 the curve roots with a refined sign-change grid, bisection and Brent's
 method, the library's companion-matrix solve by a different route.
+``reference_audit_chords`` audits one chord at a time where the library
+evaluates all chords in one array pass.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 from osbk.core import as_phase_vector, minimize_scalar, omega_pairwise
 from osbk.correspondence import PARAM_DEDUP, CurveRoot, CurveScan, _wrap_dist
 from osbk.errors import UnstableCountError
-from osbk.manifolds import TWO_PI, TrigImmersion
+from osbk.integrability import IntegralSet
+from osbk.manifolds import TWO_PI, ManifoldSpec, TrigImmersion
 
 MAX_GRID = 1 << 17  # finest root-scan grid before the count is declared unstable
 
@@ -173,3 +176,35 @@ def reference_scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> Cur
     out = list(map(CurveRoot, roots.tolist(), flat.tolist())) + [CurveRoot(t, True) for t in tangential]
     out.sort(key=lambda r: r.t)
     return CurveScan(tuple(out), len(flips), tuple(history))
+
+
+def reference_audit_chords(spec: ManifoldSpec, integrals: IntegralSet, chords) -> tuple:
+    """Per-chord invariance audit of (A, B) pairs: (drift (N, k), matched sign, mismatch -, mismatch +).
+
+    Evaluates the integrals, grad F and third F at one chord at a time; the
+    sign and mismatches are None unless some chord of a cubic graph has its
+    midpoint on the graph and a nonzero offset w.
+    """
+    graph = spec.table if integrals.kind == "cubic-graph" else None
+    drift = []
+    mis_minus, mis_plus, audited = 0.0, 0.0, 0
+    for A, B in chords:
+        A, B = as_phase_vector(A), as_phase_vector(B)
+        vals_a = integrals.values(A)
+        drift.append(np.abs(integrals.values(B) - vals_a))
+        if graph is None:
+            continue
+        mid = 0.5 * (A + B)
+        q = mid[0::2]
+        w = A[0::2] - q
+        gq = graph.grad(q)
+        on_graph = float(np.max(np.abs(gq - mid[1::2]))) <= 1e-8 * max(1.0, float(np.max(np.abs(gq))))
+        if on_graph and float(np.linalg.norm(w)) > 1e-12:
+            half = 0.5 * np.einsum("ijk,j,k->i", graph.third(q), w, w)
+            mis_minus = max(mis_minus, float(np.max(np.abs(vals_a + half))))
+            mis_plus = max(mis_plus, float(np.max(np.abs(vals_a - half))))
+            audited += 1
+    drift = np.reshape(drift, (len(drift), len(integrals.evaluators)))
+    if audited:
+        return drift, "-" if mis_minus <= mis_plus else "+", mis_minus, mis_plus
+    return drift, None, None, None

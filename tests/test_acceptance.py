@@ -24,6 +24,7 @@ from .oracles import brute_conic_solutions, fd_gradient
 CIRCLE_JSON = json.dumps({"kind": "trig", "m": 1, "coeffs": [[[[1], 1.0, 0.0]], [[[1], 0.0, 1.0]]]})
 ELL_JSON = json.dumps({"kind": "ellipsoid", "axes": [1.0, 2.0]})
 CHEB_JSON = json.dumps(osbk.manifold_to_json(osbk.spec_for(osbk.chebyshev_curve())))
+CUBIC_JSON = json.dumps({"kind": "graph", "n": 2, "terms": [[[2, 1], 1.0], [[1, 2], 1.0]], "box": [-5.0, 5.0]})
 
 
 def test_criterion_01_ellipsoid_conservation():
@@ -256,6 +257,7 @@ def test_criterion_11_thread_count_determinism(tmp_path):
         "classify": ["classify", "--coeffs", "0,1,1,0", "--trials", "200", "--seed", "3"],
         "periodic": ["periodic", "--manifold", CIRCLE_JSON, "--n", "3", "--starts", "8", "--seed", "1"],
         "integrability": ["integrability", "--manifold", ELL_JSON, "--z", "2,0.1,-1,2.2", "--steps", "300"],
+        "integrability-cubic": ["integrability", "--manifold", CUBIC_JSON, "--pairs", "50"],
         "even-search": ["even-search", "--manifold", CHEB_JSON, "--n", "4", "--starts", "32"],
     }
     for name, argv in cases.items():

@@ -1,14 +1,22 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import osbk
+from osbk import cli
+from osbk._pool import task_rng
 from osbk.core import NOISE_ULPS
-from osbk.integrability import AuditReport, poisson_bracket
+from osbk.integrability import AuditReport, audit_chords, poisson_bracket
 
 from .conftest import random_symplectic
-from .oracles import fd_gradient
+from .oracles import fd_gradient, reference_audit_chords
+
+FT_JSON = json.dumps({"kind": "graph", "n": 2, "terms": [[[2, 1], 1.0], [[1, 2], 1.0]], "box": [-5.0, 5.0]})
+CUBIC3 = osbk.GeneratingGraph(
+    osbk.Poly(3, {(2, 1, 0): 1.0, (0, 1, 2): -0.5, (1, 1, 1): 0.7, (3, 0, 0): 0.3}), (-3.0, 3.0)
+)
 
 
 def valid_graph_pair(graph, q, w):
@@ -16,6 +24,22 @@ def valid_graph_pair(graph, q, w):
     chord (w, H(q) w), which is omega-orthogonal to every tangent vector."""
     delta = osbk.interleave(w, graph.hess(q) @ w)
     return graph.embed(q) - 0.5 * delta, graph.embed(q) + 0.5 * delta
+
+
+def cli_cubic_chords(graph, seed, pairs):
+    """The chords (A, B) of `osbk integrability --pairs` on a cubic graph at ``seed``."""
+    rng = task_rng(seed, 2)
+    lo, hi = graph.box
+    A, B = [], []
+    for _ in range(pairs):
+        q = rng.uniform(lo, hi, graph.n)
+        w = rng.uniform(-1.0, 1.0, graph.n)
+        while float(np.linalg.norm(w)) < 1e-3:
+            w = rng.uniform(-1.0, 1.0, graph.n)
+        g, Hw = graph.grad(q), graph.hess(q) @ w
+        A.append(osbk.interleave(q + w, g + Hw))
+        B.append(osbk.interleave(q - w, g - Hw))
+    return np.array(A), np.array(B)
 
 
 class TestIntegralsFor:
@@ -69,6 +93,43 @@ class TestEvaluators:
         z = np.array([0.3, -1.2, 0.8, 0.4])
         for ev in ints.evaluators:
             assert np.allclose(ev.grad(z), fd_gradient(ev.value, z), atol=1e-6)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("table", [osbk.SymplecticEllipsoid((0.5, 1.5, 3.0)), "ft"])
+    def test_stack_rows_equal_pointwise(self, table, ft_graph):
+        ints = osbk.integrals_for(osbk.spec_for(ft_graph if table == "ft" else table))
+        evs = ints.evaluators
+        Z = np.random.default_rng(6).uniform(-3, 3, size=(16, 2 * len(evs)))
+        assert ints.values(Z).shape == (16, len(evs))
+        assert np.array_equal(ints.values(Z), [ints.values(z) for z in Z])
+        for ev in evs:
+            assert np.array_equal(ev.value(Z), [ev.value(z) for z in Z])
+            assert np.array_equal(ev.grad(Z), [ev.grad(z) for z in Z])
+        b = poisson_bracket(evs[0], evs[1], Z)
+        assert b.shape == (16,)
+        assert np.array_equal(b, [poisson_bracket(evs[0], evs[1], z) for z in Z])
+        assert np.array_equal(poisson_bracket(evs[0].poly, evs[1].poly, Z), b)
+
+    @pytest.mark.parametrize(
+        "z",
+        [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 4)), np.float64(1.0), np.ones((2, 6)), [1.0, np.nan, 0.0, 0.0],
+         [[1.0, 0.0, np.inf, 0.0]]],
+        ids=["odd", "odd-stack", "3-d", "scalar", "wrong-dim", "nan", "inf-stack"],
+    )
+    def test_bad_points_rejected(self, z, ft_spec):
+        ints = osbk.integrals_for(ft_spec)
+        ev = ints.evaluators[0]
+        for call in (ints.values, ev.value, ev.grad, lambda z: poisson_bracket(ev, ints.evaluators[1], z)):
+            with pytest.raises(ValueError):
+                call(z)
+
+    def test_audit_chords_needs_equal_stacks(self, ft_graph, ft_spec):
+        ints = osbk.integrals_for(ft_spec)
+        A, B = cli_cubic_chords(ft_graph, 0, 4)
+        for a, b in ((A, B[:3]), (A[0], B[0]), (A, np.where(B > 0, np.nan, B))):
+            with pytest.raises(ValueError):
+                audit_chords(ft_spec, ints, a, b)
 
 
 class TestPoissonBracket:
@@ -131,6 +192,24 @@ class TestAuditInvariance:
         assert AuditReport(drift, None, None, None, 1.0).worst_step == 1
         assert AuditReport(drift, None, None, None).worst_step == 3  # no scale: exact ties only
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cubic_chord_noise_is_the_first_chord(self, seed, ft_graph, ft_spec, tmp_path):
+        # the chords' drifts are tens of ulp of the largest |I| but below one
+        # ulp of the absolute-coefficient bound of the integrals
+        assert cli.main(["integrability", "--manifold", FT_JSON, "--pairs", "200", "--seed", str(seed),
+                         "--out", str(tmp_path)]) == 0
+        audit = json.loads((tmp_path / "result.json").read_text())["audit"]
+        assert audit["worst_step"]["index"] == 0
+        ints = osbk.integrals_for(ft_spec)
+        A, B = cli_cubic_chords(ft_graph, seed, 200)
+        rep = audit_chords(ft_spec, ints, A, B)
+        assert rep.as_dict() == audit
+        largest = float(np.max(np.abs(ints.values(np.concatenate([A, B])))))
+        assert NOISE_ULPS * np.spacing(largest) < rep.worst_drift <= np.spacing(rep.value_scale)
+        drift = rep.chord_drift.copy()
+        drift[37, 0] += 2 * NOISE_ULPS * np.spacing(rep.value_scale)
+        assert replace(rep, chord_drift=drift).worst_step == 37
+
     def test_cubic_pair_sign_convention(self, ft_graph, ft_spec):
         # the endpoint values equal -(1/2) third F(q)[v, v] with v the
         # half-chord; the audit reports that as matched sign "-"
@@ -181,3 +260,44 @@ class TestAuditInvariance:
         d = osbk.audit_invariance(spec, ints, orbit).as_dict()
         assert set(d) >= {"max_drift", "worst_step", "steps"}
         assert d["worst_step"] is None or "index" in d["worst_step"]
+
+
+class TestAuditParity:
+    """The one-pass audit against the per-chord reference audit."""
+
+    def check(self, spec, A, B):
+        ints = osbk.integrals_for(spec)
+        rep = audit_chords(spec, ints, A, B)
+        drift, sign, mis_minus, mis_plus = reference_audit_chords(spec, ints, zip(A, B))
+        return rep, drift, sign, mis_minus, mis_plus
+
+    @pytest.mark.parametrize(
+        "axes, z0, steps",
+        [((1.0, 2.0), (2.0, 0.1, -1.0, 2.2), 2000), ((0.5, 1.5, 3.0), (0.6, 0.1, -1.0, 0.4, 0.2, 2.9), 500)],
+    )
+    def test_ellipsoid_orbits_bit_equal(self, axes, z0, steps):
+        spec = osbk.spec_for(osbk.SymplecticEllipsoid(axes))
+        pts = osbk.iterate(spec, z0, steps)
+        rep, drift, sign, mis_minus, mis_plus = self.check(spec, pts[:-1], pts[1:])
+        assert np.array_equal(rep.chord_drift, drift)
+        assert rep.matched_sign is sign is None
+        assert rep.mismatch_minus is mis_minus is None and rep.mismatch_plus is mis_plus is None
+        assert np.array_equal(osbk.audit_invariance(spec, osbk.integrals_for(spec), pts).chord_drift, drift)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_variable_cubic_bit_equal(self, seed, ft_graph, ft_spec):
+        rep, drift, sign, mis_minus, mis_plus = self.check(ft_spec, *cli_cubic_chords(ft_graph, seed, 200))
+        assert np.array_equal(rep.chord_drift, drift)
+        assert (rep.matched_sign, rep.mismatch_minus, rep.mismatch_plus) == (sign, mis_minus, mis_plus)
+        assert sign == "-"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_three_variable_cubic_within_one_ulp(self, seed):
+        # a stack sums each integral's four terms in another order than one
+        # point does; seen up to 0.5 ulp of value_scale
+        spec = osbk.spec_for(CUBIC3)
+        rep, drift, sign, mis_minus, mis_plus = self.check(spec, *cli_cubic_chords(CUBIC3, seed, 200))
+        ulp = np.spacing(rep.value_scale)
+        assert np.max(np.abs(rep.chord_drift - drift)) <= ulp
+        assert rep.matched_sign == sign == "-"
+        assert abs(rep.mismatch_minus - mis_minus) <= ulp and abs(rep.mismatch_plus - mis_plus) <= ulp
