@@ -45,7 +45,6 @@ class PolyIntegral:
     poly: Poly
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_grads", tuple(self.poly.diff(i) for i in range(self.poly.n)))
         # sum |c| |z^a|: the scale of the rounding error of value(z)
         object.__setattr__(self, "_abs", Poly(self.poly.n, {k: abs(c) for k, c in self.poly.terms.items()}))
 
@@ -56,8 +55,7 @@ class PolyIntegral:
         return self.value(z)
 
     def grad(self, z) -> np.ndarray:
-        z = _phase_points(z)
-        return np.stack([g(z) for g in self._grads], axis=-1)
+        return self.poly.partials(_phase_points(z), 1)
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ def integrals_for(spec: ManifoldSpec) -> IntegralSet:
         evs = []
         for i in range(n):
             ky = tuple(1 if k == 2 * i + 1 else 0 for k in range(2 * n))
-            evs.append(PolyIntegral(Poly(2 * n, {ky: 1.0}) + _lift_to_phase(table.grad_polys[i]).scaled(-1.0)))
+            evs.append(PolyIntegral(Poly(2 * n, {ky: 1.0}) + _lift_to_phase(table.F.diff(i)).scaled(-1.0)))
         return IntegralSet("cubic-graph", tuple(evs))
     raise DomainError(f"no known integrals for this table kind ({spec.kind})")
 

@@ -356,7 +356,10 @@ class SymplecticEllipsoid:
             r = math.sqrt(self.axes[j])
             coords.append(trig_product(rho_factors + [("cos", j)], m, amplitude=r))
             coords.append(trig_product(rho_factors + [("sin", j)], m, amplitude=r))
-        return TrigImmersion(m, tuple(tuple(c) for c in coords))
+        # unchecked: the chart is exact and loses rank only on the rho_j = 0
+        # circles, which the check's offset grid never samples, so the check
+        # could not fail and would cost a full grid of SVDs per build
+        return TrigImmersion(m, tuple(tuple(c) for c in coords), check=False)
 
     def param_of(self, z) -> np.ndarray:
         """Chart parameter of a point on the ellipsoid (degenerate angles -> 0)."""
@@ -405,45 +408,16 @@ class GeneratingGraph:
     def ambient_dim(self) -> int:
         return 2 * self.F.n
 
-    @cached_property
-    def grad_polys(self) -> list[_poly.Poly]:
-        return _poly.gradient_polys(self.F)
-
-    @cached_property
-    def hess_polys(self) -> list[list[_poly.Poly]]:
-        return _poly.hessian_polys(self.F)
-
-    @cached_property
-    def third_polys(self) -> list[list[list[_poly.Poly]]]:
-        return _poly.third_polys(self.F)
-
     # grad, hess, third, embed and tangent_rows take q (n,) or a stack (..., n)
 
     def grad(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        g = np.empty(q.shape)
-        for i, p in enumerate(self.grad_polys):
-            g[..., i] = p(q)
-        return g
+        return self.F.partials(q, 1)
 
     def hess(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        n = self.n
-        H = np.empty(q.shape[:-1] + (n, n))
-        for i in range(n):
-            for j in range(i, n):
-                H[..., i, j] = H[..., j, i] = self.hess_polys[i][j](q)
-        return H
+        return self.F.partials(q, 2)
 
     def third(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        n = self.n
-        T = np.empty(q.shape[:-1] + (n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    T[..., i, j, k] = self.third_polys[i][j][k](q)
-        return T
+        return self.F.partials(q, 3)
 
     def embed(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)

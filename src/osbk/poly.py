@@ -3,11 +3,15 @@
 A polynomial in n variables is a finite map exponent-tuple -> coefficient.
 Differentiation is symbolic (exact on the coefficients), so gradient,
 Hessian and third-derivative tensors of generating functions carry no
-finite-difference noise. Evaluation is vectorized over batches of points.
+finite-difference noise. Every evaluation, of the value or of any derivative
+order, goes through :meth:`Poly.partials`: one monomial table per order,
+summed in a fixed sequential order, so a point gives the same bits alone and
+as a row of a stack.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -16,7 +20,7 @@ import numpy as np
 class Poly:
     """Immutable polynomial R^n -> R with exact coefficient arithmetic."""
 
-    __slots__ = ("n", "terms", "_exps", "_coeffs")
+    __slots__ = ("n", "terms", "_tables")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], float]) -> None:
         if n < 1:
@@ -32,8 +36,7 @@ class Poly:
         clean = {k: v for k, v in clean.items() if v != 0.0}
         self.n = n
         self.terms = dict(sorted(clean.items()))
-        self._exps = np.array(list(self.terms.keys()), dtype=float).reshape(len(self.terms), n)
-        self._coeffs = np.array(list(self.terms.values()), dtype=float)
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def degree(self) -> int:
@@ -51,14 +54,51 @@ class Poly:
         return deg is None or degs == {deg}
 
     def __call__(self, q) -> float | np.ndarray:
-        """Evaluate at a point (n,) or a batch (..., n)."""
+        """Evaluate at a point (n,), giving a float, or a batch (..., n)."""
+        return self.partials(q, 0)
+
+    def _table(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Exponents (B, n) of the monomials in the order-th partials, and their coefficients (B, n^order).
+
+        Partial (i, j, ...) is the exact ``diff`` chain over the sorted indices,
+        so the tensor is symmetric bit for bit. Rows follow the sorted exponent
+        tuples, the order of each partial's own ``terms``.
+        """
+        table = self._tables.get(order)
+        if table is None:
+            chains: dict[tuple[int, ...], Poly] = {(): self}
+            for _ in range(order):
+                chains = {k + (i,): p.diff(i) for k, p in chains.items() for i in range(k[-1] if k else 0, self.n)}
+            parts = [chains[tuple(sorted(k))] for k in product(range(self.n), repeat=order)]
+            rows = {e: b for b, e in enumerate(sorted({e for p in parts for e in p.terms}))}
+            coeffs = np.zeros((len(rows), len(parts)))
+            for k, p in enumerate(parts):
+                for e, c in p.terms.items():
+                    coeffs[rows[e], k] = c
+            exps = np.array(list(rows), dtype=float).reshape(len(rows), self.n)
+            exps.flags.writeable = coeffs.flags.writeable = False
+            table = self._tables[order] = (exps, coeffs)
+        return table
+
+    def partials(self, q, order: int) -> float | np.ndarray:
+        """All order-th partial derivatives at a point (n,) or a batch (..., n).
+
+        Returns shape (..., n, ..., n) with ``order`` trailing axes (a float for
+        order 0 at one point). The monomials are evaluated once and summed one
+        after another, so each row of a batch equals its one-point call bit for bit.
+        """
         q = np.asarray(q, dtype=float)
         if q.shape[-1] != self.n:
             raise ValueError(f"expected last axis {self.n}, got {q.shape}")
-        if not self.terms:
-            return 0.0 if q.ndim == 1 else np.zeros(q.shape[:-1])
-        vals = np.prod(q[..., None, :] ** self._exps, axis=-1) @ self._coeffs
-        return float(vals) if q.ndim == 1 else vals
+        exps, coeffs = self._table(order)
+        terms = np.prod(q[..., None, :] ** exps, axis=-1)[..., :, None] * coeffs
+        # a running sum from +0.0, not a BLAS product, whose summation order
+        # depends on the batch size
+        vals = np.zeros(q.shape[:-1] + coeffs.shape[1:])
+        for b in range(len(coeffs)):
+            vals += terms[..., b, :]
+        vals = vals.reshape(q.shape[:-1] + (self.n,) * order)
+        return float(vals) if order == 0 and q.ndim == 1 else vals
 
     def diff(self, i: int) -> "Poly":
         """Exact partial derivative in variable i."""
@@ -103,16 +143,3 @@ def poly_from_pairs(n: int, pairs: Iterable[tuple[Iterable[int], float]]) -> Pol
     """Build from [(exponents, coefficient), ...] pairs (the JSON encoding)."""
     return Poly(n, {tuple(int(e) for e in exps): float(c) for exps, c in pairs})
 
-
-def gradient_polys(F: Poly) -> list[Poly]:
-    return [F.diff(i) for i in range(F.n)]
-
-
-def hessian_polys(F: Poly) -> list[list[Poly]]:
-    g = gradient_polys(F)
-    return [[g[i].diff(j) for j in range(F.n)] for i in range(F.n)]
-
-
-def third_polys(F: Poly) -> list[list[list[Poly]]]:
-    H = hessian_polys(F)
-    return [[[H[i][j].diff(k) for k in range(F.n)] for j in range(F.n)] for i in range(F.n)]

@@ -450,12 +450,8 @@ def zero_divisor_test(graph: GeneratingGraph, q, sphere_samples: int = 4096, see
         if (w[0] if abs(w[0]) > 1e-14 else w[1]) < 0:
             w = -w
         return ZeroDivisorReport(float(abs(lam[k])), w)
-    rng = task_rng(seed, 0)
-    best: tuple[float, np.ndarray] | None = None
-    for _ in range(sphere_samples):
-        w = rng.normal(size=n)
-        w = w / float(np.linalg.norm(w))
-        v = float(np.linalg.svd(np.einsum("ijk,k->ij", T, w), compute_uv=False)[-1])
-        if best is None or v < best[0]:
-            best = (v, w)
-    return ZeroDivisorReport(best[0], best[1])
+    W = task_rng(seed, 0).normal(size=(sphere_samples, n))
+    W = W / np.sqrt(W[:, None, :] @ W[:, :, None])[:, 0]  # row norms by dot product, as norm(w) of one row
+    v = np.linalg.svd(np.einsum("ijk,sk->sij", T, W), compute_uv=False)[:, -1]
+    k = int(np.argmin(v))
+    return ZeroDivisorReport(float(v[k]), W[k].copy())

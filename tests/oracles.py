@@ -7,7 +7,8 @@ instead of the symplectic chord sum. ``reference_scan_curve_roots`` finds
 the curve roots with a refined sign-change grid, bisection and Brent's
 method, the library's companion-matrix solve by a different route.
 ``reference_audit_chords`` audits one chord at a time where the library
-evaluates all chords in one array pass.
+evaluates all chords in one array pass, and ``reference_zero_divisor`` solves
+one sphere direction at a time where the library stacks them.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from collections.abc import Callable
 
 import numpy as np
 
+from osbk._pool import task_rng
 from osbk.core import as_phase_vector, minimize_scalar, omega_pairwise
 from osbk.correspondence import PARAM_DEDUP, CurveRoot, CurveScan, _wrap_dist
 from osbk.errors import UnstableCountError
 from osbk.integrability import IntegralSet
-from osbk.manifolds import TWO_PI, ManifoldSpec, TrigImmersion
+from osbk.manifolds import TWO_PI, GeneratingGraph, ManifoldSpec, TrigImmersion
 
 MAX_GRID = 1 << 17  # finest root-scan grid before the count is declared unstable
 
@@ -208,3 +210,21 @@ def reference_audit_chords(spec: ManifoldSpec, integrals: IntegralSet, chords) -
     if audited:
         return drift, "-" if mis_minus <= mis_plus else "+", mis_minus, mis_plus
     return drift, None, None, None
+
+
+def reference_zero_divisor(graph: GeneratingGraph, q, sphere_samples: int = 4096, seed: int = 0) -> tuple[float, np.ndarray]:
+    """(min, witness) of the smallest singular value of third F(q)[., ., w], one unit w at a time.
+
+    Draws the sphere sample one direction per call from the library's stream
+    and keeps the first minimum, where the library draws and solves them all at once.
+    """
+    T = graph.third(np.asarray(q, dtype=float))
+    rng = task_rng(seed, 0)
+    best: tuple[float, np.ndarray] | None = None
+    for _ in range(sphere_samples):
+        w = rng.normal(size=graph.n)
+        w = w / float(np.linalg.norm(w))
+        v = float(np.linalg.svd(np.einsum("ijk,k->ij", T, w), compute_uv=False)[-1])
+        if best is None or v < best[0]:
+            best = (v, w)
+    return best

@@ -134,6 +134,14 @@ class TestEllipsoid:
             u2 = e.param_of(z)
             assert np.allclose(imm.value(u2), z, atol=1e-9)
 
+    @pytest.mark.parametrize("axes", [(1.0,), (1.0, 2.0), (0.5, 1.5, 3.0)])
+    def test_chart_has_full_rank_on_the_check_grid(self, axes):
+        # to_immersion skips the sampled check; the same coefficients as a
+        # user table run it, and pass
+        chart = osbk.SymplecticEllipsoid(axes).to_immersion()
+        assert not chart.check
+        assert osbk.TrigImmersion(chart.m, chart.coeffs) == chart
+
     def test_immersion_lies_on_level_set(self):
         e = osbk.SymplecticEllipsoid((0.7, 2.0, 3.0))
         imm = e.to_immersion()

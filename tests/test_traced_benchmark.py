@@ -10,10 +10,12 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import osbk
 from osbk import cli
+from osbk.core import interleave
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # (cos t, sin 2t): not convex, so the convexity profile is refined with minimize_scalar
@@ -52,3 +54,27 @@ def test_uninstall_restores_every_hooked_name(spans):
     before = (correspondence.minimize_scalar, manifolds.minimize_scalar, osbk.step_curve)
     spans.install(spans.Recorder())()
     assert (correspondence.minimize_scalar, manifolds.minimize_scalar, osbk.step_curve) == before
+
+
+def test_traced_step_on_the_quartic_graph_records_partials_spans(spans, tmp_path):
+    # the benchmark's step-quartic table; the tracer wraps every public method,
+    # Poly.partials included, and must leave it as it found it
+    graph = osbk.GeneratingGraph(osbk.Poly(2, {(2, 1): 1.0, (1, 2): 1.0, (4, 0): 0.1}), (-3.0, 3.0))
+    q, w = np.array([0.6, -0.4]), np.array([0.3, 0.2])
+    z = interleave(q + w, graph.grad(q) + graph.hess(q) @ w)
+    table = json.dumps(osbk.manifold_to_json(osbk.spec_for(graph)))
+    before = osbk.Poly.partials
+    rec = spans.Recorder()
+    uninstall = spans.install(rec)
+    try:
+        rec.op_id, rec.active = 0, True
+        argv = ["step", "--manifold", table, f"--z={','.join(map(repr, z.tolist()))}", "--starts", "64"]
+        rc = cli.main([*argv, "--out", str(tmp_path / "step")])
+        rec.active = False
+    finally:
+        uninstall()
+    assert rc == 0
+    names = [rec.names[i] for i in rec.name]
+    assert names.count("poly.Poly.partials") >= 1
+    assert json.loads((tmp_path / "step" / "result.json").read_text())["count"] >= 1
+    assert osbk.Poly.partials is before

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import osbk
 from osbk.wall import CubicForm2, ConicPair
 
-from .oracles import brute_conic_solutions
+from .oracles import brute_conic_solutions, reference_zero_divisor
 
 coef = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -297,6 +297,17 @@ class TestZeroDivisor:
         rep = osbk.zero_divisor_test(ft_graph, q)
         attained = abs(osbk.lagrangian_delta_det(ft_graph, q, rep.witness))
         assert attained == pytest.approx(rep.min_value, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_three_variables_match_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        exps = [e for e in np.ndindex(4, 4, 4) if sum(e) == 3]
+        g = osbk.GeneratingGraph(osbk.Poly(3, {e: rng.normal() for e in exps}))
+        q = rng.uniform(-2.0, 2.0, 3)
+        rep = osbk.zero_divisor_test(g, q, seed=seed)
+        v, w = reference_zero_divisor(g, q, seed=seed)
+        assert rep.min_value == v and np.array_equal(rep.witness, w)
+        assert rep.witness.shape == (3,) and np.linalg.norm(rep.witness) == pytest.approx(1.0)
 
 
 class TestLagrangianDeltaDet:
