@@ -15,6 +15,7 @@ import numpy as np
 _ENV_VAR = "OSBK_THREADS"
 _KEY_MASK = (1 << 128) - 1
 _COUNTER_MASK = (1 << 256) - 1
+_WORD_MASK = (1 << 64) - 1
 
 
 def task_rng(seed: int, task: int) -> np.random.Generator:
@@ -27,6 +28,32 @@ def task_rng(seed: int, task: int) -> np.random.Generator:
     """
     counter = (int(task) << 128) & _COUNTER_MASK
     return np.random.Generator(np.random.Philox(counter=counter, key=int(seed) & _KEY_MASK))
+
+
+def task_uniform_blocks(seed: int, tasks, blocks, low: float, high: float) -> np.ndarray:
+    """Four uniform draws in [low, high) per task, from whole Philox blocks.
+
+    Row k equals ``task_rng(seed, tasks[k]).uniform(low, high, 4)`` after
+    ``blocks`` (an int, or one per task) earlier draws of four doubles on that
+    stream. Philox turns one counter value into four 64-bit words, one per
+    double, so that position is counter ``tasks[k] * 2**128 + blocks`` with an
+    empty buffer: one bit generator, re-keyed through its state, serves every
+    row without building a generator per task.
+    """
+    tasks = np.asarray(tasks).tolist()
+    blocks = np.broadcast_to(blocks, (len(tasks),)).tolist()
+    bitgen = np.random.Philox(key=int(seed) & _KEY_MASK)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    state["buffer_pos"] = 4  # empty: the next draw computes a fresh block
+    counter = state["state"]["counter"]
+    out = np.empty((len(tasks), 4))
+    for k, (task, block) in enumerate(zip(tasks, blocks)):
+        c = ((int(task) << 128) + int(block)) & _COUNTER_MASK
+        counter[:] = [(c >> shift) & _WORD_MASK for shift in (0, 64, 128, 192)]
+        bitgen.state = state
+        out[k] = gen.uniform(low, high, 4)
+    return out
 
 
 def thread_count() -> int:

@@ -25,7 +25,7 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -273,29 +273,31 @@ def _spec_from_top(command: str, top: dict) -> ManifoldSpec | None:
 # -- emission ------------------------------------------------------------------
 
 
-def _fmt(x: Any) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+# integer and boolean columns; every other column holds floats
+_INT_COLUMNS = frozenset({"index", "step", "count", "on_wall", "degenerate"})
 
 
 def _coord_header(dim: int) -> list[str]:
     return [f"{'x' if i % 2 == 0 else 'y'}{i // 2 + 1}" for i in range(dim)]
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[tuple]) -> None:
+    """Write the header and the rows (one tuple per row) in one pass.
+
+    Every row goes through one ``%`` template: ``%d`` for the columns in
+    ``_INT_COLUMNS`` (booleans as 1/0) and ``%.17g`` for the rest: 17
+    significant digits, enough to read back the same float.
+    """
+    template = ",".join("%d" if h in _INT_COLUMNS else "%.17g" for h in header) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(map(template.__mod__, rows))
     except OSError as e:
         raise OsbkError(f"cannot write {path}: {e}") from None
 
 
-def _emit(result: dict, series: dict[str, tuple[list[str], list[list[Any]]]], out: str | None) -> None:
+def _emit(result: dict, series: dict[str, tuple[list[str], Iterable[tuple]]], out: str | None) -> None:
     text = json.dumps(result, sort_keys=True, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -310,14 +312,19 @@ def _emit(result: dict, series: dict[str, tuple[list[str], list[list[Any]]]], ou
         _write_csv(os.path.join(out, name + ".csv"), header, rows)
 
 
-def _orbit_series(vertices: np.ndarray) -> tuple[list[str], list[list[Any]]]:
-    header = ["index"] + _coord_header(vertices.shape[1])
-    return header, [[i, *row] for i, row in enumerate(np.asarray(vertices, dtype=float))]
+def _indexed_rows(values: np.ndarray) -> Iterable[tuple]:
+    """Rows (k, *values[k]) of a 2-D array, as plain Python numbers."""
+    values = np.asarray(values, dtype=float)
+    return zip(range(len(values)), *values.T.tolist())
+
+
+def _orbit_series(vertices: np.ndarray) -> tuple[list[str], Iterable[tuple]]:
+    return ["index"] + _coord_header(np.shape(vertices)[1]), _indexed_rows(vertices)
 
 
 # -- command runners -----------------------------------------------------------
 
-Series = dict[str, tuple[list[str], list[list[Any]]]]
+Series = dict[str, tuple[list[str], Iterable[tuple]]]
 
 
 def _run_step(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict, Series]:
@@ -332,8 +339,11 @@ def _run_step(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict,
         "rejected": len(cands) - len(within),
         "seed": seed,
     }
+    if isinstance(cands, correspondence.NewtonPartners):
+        # multi-start Newton can miss partners: count is a lower bound
+        result.update(starts=cands.starts, converged_starts=cands.converged, count_is_lower_bound=True)
     header = ["index"] + _coord_header(z.size) + ["residual", "on_wall", "degenerate"]
-    rows = [[i, *c.partner, c.residual, c.on_wall, c.degenerate] for i, c in enumerate(within)]
+    rows = [(i, *c.partner, c.residual, c.on_wall, c.degenerate) for i, c in enumerate(within)]
     return result, {"candidates": (header, rows)}
 
 
@@ -443,7 +453,7 @@ def _run_wall(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict,
     rows = []
     for s in samples:
         pad = list(s.plane_params) + [0.0] * (n_s - len(s.plane_params))
-        rows.append([s.t, *pad, *s.P, s.singular_residual])
+        rows.append((s.t, *pad, *s.P, s.singular_residual))
     probes_out = []
     mult_rows = []
     for i, point in enumerate(p["probes"]):
@@ -451,7 +461,7 @@ def _run_wall(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict,
         try:
             count = wall.multiplicity_curve(spec, point)
             entry["count"] = count
-            mult_rows.append([i, *point, count])
+            mult_rows.append((i, *point, count))
         except OsbkError as e:
             entry["error"] = {"code": e.code, "message": str(e)}
             if hasattr(e, "lower"):
@@ -496,7 +506,7 @@ def _run_integrability(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tu
             raise ConfigError("integrability on an ellipsoid needs a start point z")
         pts = correspondence.iterate(spec, p["z"], p["steps"], branch=p["branch"])
         audit = integrability.audit_invariance(spec, ints, pts)
-        rows = [[k, *v] for k, v in enumerate(ints.values(pts))]
+        rows = _indexed_rows(audit.point_values)
         extra = {"steps": p["steps"]}
     else:
         graph = spec.table
@@ -510,7 +520,7 @@ def _run_integrability(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tu
                 W[i] = rng_pairs.uniform(-1.0, 1.0, graph.n)
         g, Hw = graph.grad(Q), (graph.hess(Q) @ W[:, :, None])[:, :, 0]
         audit = integrability.audit_chords(spec, ints, interleave(Q + W, g + Hw), interleave(Q - W, g - Hw))
-        rows = [[k, *drift] for k, drift in enumerate(audit.chord_drift)]
+        rows = _indexed_rows(audit.chord_drift)
         extra = {"pairs": p["pairs"]}
     result = {
         "command": "integrability",

@@ -277,13 +277,15 @@ def _dedup(cands: list[StepCandidate], angular: bool) -> list[StepCandidate]:
 # -- ellipsoids ---------------------------------------------------------------
 
 
-def _ellipsoid_t2(axes: Sequence[float], c: Sequence[float]) -> float:
-    """Positive root s = t^2 of sum_j c_j a_j^2/(a_j^2+s) = 1.
+def _ellipsoid_t2(axes: Sequence[float], c: Sequence[float], s: float = 0.0) -> float:
+    """Positive root s = t^2 of sum_j c_j a_j^2/(a_j^2+s) = 1, by Newton from ``s``.
 
-    The left side is convex and decreasing in s, so Newton from s = 0
-    increases monotonically to the root; it stops once it no longer increases.
+    The left side is convex and decreasing in s, so Newton from below the root
+    increases monotonically to it; it stops once it no longer increases. A warm
+    start that is not below the root (h(s) <= 0) would break that stop rule, so
+    it falls back to the cold start s = 0.
     """
-    s = 0.0
+    start = s
     for _ in range(80):
         h = -1.0
         hp = 0.0
@@ -293,6 +295,8 @@ def _ellipsoid_t2(axes: Sequence[float], c: Sequence[float]) -> float:
             term = cj * a2 / r
             h += term
             hp -= term / r
+        if start > 0.0 and s == start and not h > 0.0:
+            return _ellipsoid_t2(axes, c)
         s_next = s - h / hp
         if not s_next > s:
             break
@@ -300,19 +304,22 @@ def _ellipsoid_t2(axes: Sequence[float], c: Sequence[float]) -> float:
     return s
 
 
-def _ellipsoid_midpoint(axes: Sequence[float], x: list[float], y: list[float], branch: int) -> tuple[float, list, list]:
-    """Level sum_j (x_j^2 + y_j^2)/a_j of the source (x, y), and the midpoint (q, p) on ``branch``;
-    q and p are empty unless the level exceeds 1 + 1e-12 (a source strictly outside the ellipsoid)."""
+def _ellipsoid_midpoint(
+    axes: Sequence[float], x: list[float], y: list[float], branch: int, s_start: float = 0.0
+) -> tuple[float, float, list, list]:
+    """Level sum_j (x_j^2 + y_j^2)/a_j of the source (x, y), the root s = t^2 (Newton from
+    ``s_start``) and the midpoint (q, p) on ``branch``; s is 0 and q and p are empty unless the
+    level exceeds 1 + 1e-12 (a source strictly outside the ellipsoid)."""
     c = [(xj * xj + yj * yj) / aj for aj, xj, yj in zip(axes, x, y)]
     level = sum(c)
     if level <= 1.0 + 1e-12:
-        return level, [], []
-    s = _ellipsoid_t2(axes, c)
+        return level, 0.0, [], []
+    s = _ellipsoid_t2(axes, c, s_start)
     t = branch * math.sqrt(s)
     denom = [1.0 + s / (aj * aj) for aj in axes]
     q = [(xj + t * yj / aj) / dj for aj, xj, yj, dj in zip(axes, x, y, denom)]
     p = [(yj - t * xj / aj) / dj for aj, xj, yj, dj in zip(axes, x, y, denom)]
-    return level, q, p
+    return level, s, q, p
 
 
 def _ellipsoid_tangent_rows(ell: SymplecticEllipsoid, mid: np.ndarray) -> np.ndarray:
@@ -339,7 +346,7 @@ def step_ellipsoid(
     z = as_phase_vector(z)
     if z.size != ell.ambient_dim:
         raise ValueError(f"expected a vector of length {ell.ambient_dim}, got {z.size}")
-    level, q, p = _ellipsoid_midpoint(ell.axes, z[0::2].tolist(), z[1::2].tolist(), branch)
+    level, _, q, p = _ellipsoid_midpoint(ell.axes, z[0::2].tolist(), z[1::2].tolist(), branch)
     if not q:
         raise DomainError(f"source must lie strictly outside the ellipsoid (level {level:.6g}, need > 1)")
     mid = interleave(q, p)
@@ -351,7 +358,9 @@ def iterate_ellipsoid(ell: SymplecticEllipsoid, z0, steps: int, branch: int = 1)
     """Iterate the fixed-branch ellipsoid step; returns (steps+1, 2d) trajectory.
 
     Plain-float inner loop: the per-step work is a handful of scalars, and
-    array overhead would dominate at 10^4 steps.
+    array overhead would dominate at 10^4 steps. The levels c_j are integrals
+    of the map, so the root s = t^2 barely moves: after the first (cold) step,
+    Newton starts just below the previous root, at s_prev (1 - 1e-8).
     """
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
@@ -361,8 +370,9 @@ def iterate_ellipsoid(ell: SymplecticEllipsoid, z0, steps: int, branch: int = 1)
     xs, ys = z0[0::2].tolist(), z0[1::2].tolist()
     out = np.empty((steps + 1, z0.size))
     out[0] = z0
+    s = 0.0
     for k in range(1, steps + 1):
-        level, q, p = _ellipsoid_midpoint(ell.axes, xs, ys, branch)
+        level, s, q, p = _ellipsoid_midpoint(ell.axes, xs, ys, branch, s * (1.0 - 1e-8))
         if not q:
             raise DomainError(f"orbit reached the ellipsoid at step {k} (level {level:.6g})")
         xs = [2.0 * qj - xj for qj, xj in zip(q, xs)]
@@ -432,13 +442,27 @@ def step_cubic_graph(graph: GeneratingGraph, z, transform: AffineSymplectic | No
     return _dedup(cands, angular=False)
 
 
+class NewtonPartners(list):
+    """The partners :func:`step_graph_numeric` found, a list of candidates.
+
+    Multi-start Newton can miss partners, so ``len`` is a lower bound on the
+    partner count; ``starts`` and ``converged`` say how many starts ran and
+    how many of them converged (to the listed partners, before dedup).
+    """
+
+    def __init__(self, cands: list[StepCandidate], starts: int, converged: int) -> None:
+        super().__init__(cands)
+        self.starts = starts
+        self.converged = converged
+
+
 def step_graph_numeric(
     graph: GeneratingGraph,
     z,
     starts: int = 64,
     seed: int = 0,
     transform: AffineSymplectic | None = None,
-) -> list[StepCandidate]:
+) -> NewtonPartners:
     """Multi-start Newton enumeration of partners across any polynomial graph.
 
     Solves W = grad F(q) + hess F(q) (Q - q) with the exact Jacobian
@@ -480,7 +504,7 @@ def step_graph_numeric(
         _build_candidate(z, graph.embed(q[i]), q[i], graph.tangent_rows(q[i]), transform, on_wall=bool(on_wall[i]))
         for i in np.flatnonzero(converged)
     ]
-    return _dedup(cands, angular=False)
+    return NewtonPartners(_dedup(cands, angular=False), starts, len(cands))
 
 
 # -- verification and dispatch --------------------------------------------------

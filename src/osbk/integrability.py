@@ -137,6 +137,7 @@ class AuditReport:
     mismatch_minus: float | None
     mismatch_plus: float | None
     value_scale: float = 0.0
+    point_values: np.ndarray | None = None  # (steps + 1, integrals) along an orbit; None for chords
 
     @property
     def steps(self) -> int:
@@ -173,14 +174,20 @@ def audit_invariance(spec: ManifoldSpec, integrals: IntegralSet, orbit) -> Audit
 
     ``orbit`` is a point array (N, 2d), a list of phase points, or a list of
     step candidates (chained by their partners). Its consecutive points are
-    the chords of :func:`audit_chords`.
+    the chords of :func:`audit_chords`, audited the same way, but every
+    point's integrals are evaluated once, as one stack: the report keeps them
+    as ``point_values``, and the drifts are differences of consecutive rows.
     """
     if len(orbit) and hasattr(orbit[0], "partner"):
         orbit = [orbit[0].source, *(c.partner for c in orbit)]
     if not len(orbit):
         raise ValueError("orbit must contain at least one point")
-    pts = np.asarray(orbit, dtype=float)
-    return audit_chords(spec, integrals, pts[:-1], pts[1:])
+    pts = _phase_points(orbit)
+    if pts.ndim != 2:
+        raise ValueError(f"orbit points must form an (N, 2d) stack, got {pts.shape}")
+    vals = integrals.values(pts)
+    endpoints = pts if len(pts) > 1 else pts[:0]  # a lone point ends no chord
+    return _audit(spec, integrals, pts[:-1], pts[1:], vals[:-1], vals[1:], endpoints, vals)
 
 
 def audit_chords(spec: ManifoldSpec, integrals: IntegralSet, A, B) -> AuditReport:
@@ -197,10 +204,18 @@ def audit_chords(spec: ManifoldSpec, integrals: IntegralSet, A, B) -> AuditRepor
     A, B = _phase_points(A), _phase_points(B)
     if A.ndim != 2 or A.shape != B.shape:
         raise ValueError(f"chord endpoints must be two (N, 2d) stacks of one shape, got {A.shape} and {B.shape}")
-    va = integrals.values(A)
-    drift = np.abs(integrals.values(B) - va)
-    absz = np.abs(np.concatenate([A, B]))
+    return _audit(spec, integrals, A, B, integrals.values(A), integrals.values(B), np.concatenate([A, B]))
+
+
+def _audit(spec, integrals, A, B, va, vb, endpoints, point_values=None) -> AuditReport:
+    """Audit the chords (A_k, B_k) with integral values va and vb at their ends.
+
+    ``endpoints`` lists every chord endpoint at least once, for ``value_scale``.
+    """
+    drift = np.abs(vb - va)
+    absz = np.abs(endpoints)
     scale = max((float(np.max(e._abs(absz), initial=0.0)) for e in integrals.evaluators), default=0.0)
+    sign, mis_minus, mis_plus = None, None, None
     if integrals.kind == "cubic-graph":
         graph = spec.table
         mid = 0.5 * (A + B)
@@ -214,5 +229,5 @@ def audit_chords(spec: ManifoldSpec, integrals: IntegralSet, A, B) -> AuditRepor
             half = 0.5 * np.einsum("nijk,nj,nk->ni", graph.third(q[keep]), w, w)
             mis_minus = float(np.max(np.abs(va[keep] + half)))
             mis_plus = float(np.max(np.abs(va[keep] - half)))
-            return AuditReport(drift, "-" if mis_minus <= mis_plus else "+", mis_minus, mis_plus, scale)
-    return AuditReport(drift, None, None, None, scale)
+            sign = "-" if mis_minus <= mis_plus else "+"
+    return AuditReport(drift, sign, mis_minus, mis_plus, scale, point_values)

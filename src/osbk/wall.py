@@ -15,14 +15,13 @@ and multiplicity-{0,4} classes with ruled tables on the boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from ._pool import task_rng
+from ._pool import task_rng, task_uniform_blocks
 from .core import apply_J, as_phase_vector, omega, omega_pairwise
 from .errors import ConsistencyError, DegeneratePencilError, UnstableCountError
 from .manifolds import GeneratingGraph, ManifoldSpec, TrigImmersion
@@ -204,30 +203,90 @@ class ConicPair:
         return cls.from_cubic(CubicForm2.from_poly(F))
 
 
-def _null_directions(M: np.ndarray, rel_tol: float = 1e-12) -> list[np.ndarray]:
-    """Unit directions of the real null cone of a symmetric 2x2 form (0, 1 or 2 lines)."""
+def _quad(U: np.ndarray, A: np.ndarray | None = None) -> np.ndarray:
+    """u . A u (or u . u) for every row u of a stack (..., 2).
+
+    Each row goes through the same BLAS calls as ``(u @ A) @ u`` (gemv, then
+    dot) and ``u @ u`` (the dot inside ``np.linalg.norm(u)``) on a single
+    vector, so row i of a stack equals the one-row result bit for bit.
+    """
+    v = U[..., None, :]
+    if A is not None:
+        v = v @ A
+    return (v @ U[..., :, None])[..., 0, 0]
+
+
+def _null_lines(M: np.ndarray, rel_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions of the real null cones of a stack (N, 2, 2) of symmetric forms.
+
+    Returns U (N, 2, 2), whose row U[i, k] is the k-th candidate line of form
+    i, and a mask (N, 2) of the lines that exist: none for a definite form,
+    one or two otherwise, both axes for the zero form. Each line is signed so
+    that its leading nonzero entry is positive; a second line within 1e-9 of
+    the first is dropped.
+    """
     lam, R = np.linalg.eigh(M)
-    scale = max(abs(lam[0]), abs(lam[1]))
-    if scale == 0.0:
-        return [np.array([1.0, 0.0]), np.array([0.0, 1.0])]  # M = 0: every direction
-    l1, l2 = lam[0] / scale, lam[1] / scale
-    if l1 * l2 > rel_tol:
-        return []
-    dirs = []
-    a = math.sqrt(max(l2, 0.0))
-    b = math.sqrt(max(-l1, 0.0))
-    for sgn in (1.0, -1.0):
-        u = R @ np.array([a, sgn * b])
-        nrm = float(np.linalg.norm(u))
-        if nrm == 0.0:
-            continue
-        u = u / nrm
-        lead = u[0] if abs(u[0]) > 1e-14 else u[1]
-        if lead < 0:
-            u = -u
-        if not any(float(np.linalg.norm(u - v)) < 1e-9 for v in dirs):
-            dirs.append(u)
-    return dirs
+    scale = np.maximum(np.abs(lam[:, 0]), np.abs(lam[:, 1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l1, l2 = lam[:, 0] / scale, lam[:, 1] / scale
+        a, b = np.sqrt(np.maximum(l2, 0.0)), np.sqrt(np.maximum(-l1, 0.0))
+        V = np.stack([np.stack([a, b], axis=-1), np.stack([a, -b], axis=-1)], axis=1)
+        U = (R[:, None] @ V[..., None])[..., 0]
+        nrm = np.sqrt(_quad(U))
+        U = U / nrm[..., None]
+    lead = np.where(np.abs(U[..., 0]) > 1e-14, U[..., 0], U[..., 1])
+    U = np.where((lead < 0)[..., None], -U, U)
+    ok = nrm != 0.0
+    ok[:, 1] &= ~(ok[:, 0] & (np.sqrt(_quad(U[:, 1] - U[:, 0])) < 1e-9))
+    ok[l1 * l2 > rel_tol] = False
+    zero = scale == 0.0  # M = 0: every direction
+    U[zero], ok[zero] = np.eye(2), True
+    return U, ok
+
+
+def _null_directions(M: np.ndarray) -> list[np.ndarray]:
+    """Unit directions of the real null cone of one symmetric 2x2 form (0, 1 or 2 lines)."""
+    U, ok = _null_lines(np.asarray(M, dtype=float)[None])
+    return list(U[0, ok[0]])
+
+
+_PENCIL_ERRORS = {
+    1: "conics share a null line: solutions of the zero right side form whole lines",
+    2: "elimination form vanishes identically (proportional conic data)",
+}
+
+
+def _conic_stack(pair: ConicPair, r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real solutions of A1 w.w = r1[i], A2 w.w = r2[i] for a stack (N,) of right sides.
+
+    Returns the solutions W (N, 4, 2), a mask (N, 4) of those found (the pair
+    +/-w on each null line of the elimination form, or the single w = 0 of a
+    zero right side; W is 0 elsewhere), and per row 0 or the
+    ``_PENCIL_ERRORS`` key of a degenerate pencil, whose solutions form whole
+    lines.
+    """
+    A1, A2 = pair.A1, pair.A2
+    ascale = max(float(np.max(np.abs(A1))), float(np.max(np.abs(A2))), 1e-300)
+    rnorm = np.hypot(r1, r2)
+    zero_rhs = rnorm <= 1e-13 * ascale
+    M = r2[:, None, None] * A1 - r1[:, None, None] * A2
+    bad = np.where(~zero_rhs & (np.max(np.abs(M), axis=(1, 2)) <= 1e-12 * ascale * rnorm), 2, 0)
+    U, ok = _null_lines(M)
+    # intersect each null line with whichever conic has the larger right side
+    first = np.abs(r1) >= np.abs(r2)
+    r_i = np.where(first, r1, r2)[:, None]
+    denom = np.where(first[:, None], _quad(U, A1), _quad(U, A2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s2 = r_i / denom
+        ok &= ~(np.abs(denom) <= 1e-13 * ascale) & ~(s2 < 0.0)  # a line at level 0 != r_i misses
+        sU = np.sqrt(s2)[..., None] * U
+    found = np.repeat(ok, 2, axis=1) & (bad == 0)[:, None]
+    W = np.where(found[..., None], np.stack([sU, -sU], axis=2).reshape(-1, 4, 2), 0.0)
+    if np.any(zero_rhs):
+        shared = any(abs(float(u @ A2 @ u)) <= 1e-10 * ascale for u in _null_directions(A1))
+        W[zero_rhs], found[zero_rhs] = 0.0, (not shared, False, False, False)
+        bad[zero_rhs] = 1 if shared else 0
+    return W, found, bad
 
 
 def conic_intersections(pair: ConicPair, r1: float, r2: float) -> list[np.ndarray]:
@@ -237,34 +296,13 @@ def conic_intersections(pair: ConicPair, r1: float, r2: float) -> list[np.ndarra
     null lines are intersected with whichever conic has a nonzero right side.
     r = 0 returns [0] for a definite pencil; shared null lines of A1, A2 mean
     whole lines of solutions and raise a degenerate-pencil error, as does a
-    vanishing elimination form (proportional data).
+    vanishing elimination form (proportional data). This is row 0 of the
+    stacked solve that :func:`classify_cubic_table` runs over all its probes.
     """
-    A1, A2 = pair.A1, pair.A2
-    ascale = max(float(np.max(np.abs(A1))), float(np.max(np.abs(A2))), 1e-300)
-    rnorm = math.hypot(r1, r2)
-    if rnorm <= 1e-13 * ascale:
-        shared = [u for u in _null_directions(A1) if abs(float(u @ A2 @ u)) <= 1e-10 * ascale]
-        if shared:
-            raise DegeneratePencilError(
-                "conics share a null line: solutions of the zero right side form whole lines"
-            )
-        return [np.zeros(2)]
-    M = r2 * A1 - r1 * A2
-    if float(np.max(np.abs(M))) <= 1e-12 * ascale * rnorm:
-        raise DegeneratePencilError("elimination form vanishes identically (proportional conic data)")
-    sols: list[np.ndarray] = []
-    for u in _null_directions(M):
-        i = 0 if abs(r1) >= abs(r2) else 1
-        r_i = (r1, r2)[i]
-        A_i = (A1, A2)[i]
-        denom = float(u @ A_i @ u)
-        if abs(denom) <= 1e-13 * ascale:
-            continue  # the line lies on the conic at level 0 != r_i
-        s2 = r_i / denom
-        if s2 < 0.0:
-            continue
-        s = math.sqrt(s2)
-        sols.extend([s * u, -s * u])
+    W, found, bad = _conic_stack(pair, np.array([float(r1)]), np.array([float(r2)]))
+    if bad[0]:
+        raise DegeneratePencilError(_PENCIL_ERRORS[int(bad[0])])
+    sols = list(W[0, found[0]])
     sols.sort(key=lambda w: (round(w[0], 12), round(w[1], 12)))
     return sols
 
@@ -365,6 +403,39 @@ class ClassificationReport:
         }
 
 
+def _classify_trials(pair: ConicPair, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Partner count at each trial's first generic probe, and that probe's attempt number (1-based).
+
+    Attempt k of trial i draws Q, then W, uniform in [-2, 2]^2 from
+    ``task_rng(seed, i)`` after the k - 1 rejected attempts before it. A probe
+    is generic when |r| >= 0.3, the pencil is not degenerate, and every
+    solution w, and every gap between two of them, is at least 1e-3 long (the
+    wall is measure zero, so this almost always holds at once). All trials
+    draw together, and each round redraws only the ones still rejected.
+    """
+    counts, attempts = np.zeros(trials, dtype=int), np.zeros(trials, dtype=int)
+    pending = np.arange(trials)
+    for attempt in range(1, 201):
+        QW = task_uniform_blocks(seed, pending, attempt - 1, -2.0, 2.0)
+        Q, W = QW[:, :2], QW[:, 2:]
+        r1, r2 = _quad(Q, pair.A1) - W[:, 0], _quad(Q, pair.A2) - W[:, 1]
+        sols, found, bad = _conic_stack(pair, r1, r2)
+        both = found[:, :, None] & found[:, None, :] & np.triu(np.ones((4, 4), dtype=bool), 1)
+        gaps = np.sqrt(_quad(sols[:, :, None] - sols[:, None, :]))
+        generic = (
+            (np.hypot(r1, r2) >= 0.3)
+            & (bad == 0)
+            & ~np.any(found & (np.sqrt(_quad(sols)) < 1e-3), axis=1)
+            & ~np.any(both & (gaps < 1e-3), axis=(1, 2))
+        )
+        counts[pending[generic]] = np.sum(found[generic], axis=1)
+        attempts[pending[generic]] = attempt
+        pending = pending[~generic]
+        if not pending.size:
+            return counts, attempts
+    raise ConsistencyError("could not draw a generic probe in 200 attempts")
+
+
 def classify_cubic_table(f: CubicForm2, trials: int = 64, seed: int = 0) -> ClassificationReport:
     """Discriminant classification checked against empirical partner counts.
 
@@ -379,37 +450,9 @@ def classify_cubic_table(f: CubicForm2, trials: int = 64, seed: int = 0) -> Clas
         ruling = ruled_test(f)
         cls = "ruled" if ruling is not None else "boundary"
         return ClassificationReport(D, cls, {}, ruling, 0)
-    pair = ConicPair.from_cubic(f)
-
-    def one_trial(i: int) -> int:
-        rng = task_rng(seed, i)
-        for _ in range(200):  # redraw until the probe is generic (wall is measure zero)
-            Q = rng.uniform(-2.0, 2.0, 2)
-            W = rng.uniform(-2.0, 2.0, 2)
-            r1 = float(Q @ pair.A1 @ Q) - W[0]
-            r2 = float(Q @ pair.A2 @ Q) - W[1]
-            if math.hypot(r1, r2) < 0.3:
-                continue
-            try:
-                sols = conic_intersections(pair, r1, r2)
-            except DegeneratePencilError:
-                continue
-            if any(float(np.linalg.norm(w)) < 1e-3 for w in sols):
-                continue
-            if len(sols) >= 2:
-                gaps = [
-                    float(np.linalg.norm(sols[i] - sols[j]))
-                    for i in range(len(sols))
-                    for j in range(i + 1, len(sols))
-                ]
-                if min(gaps) < 1e-3:
-                    continue
-            return len(sols)
-        raise ConsistencyError("could not draw a generic probe in 200 attempts")
-
-    hist: dict[int, int] = {}
-    for k in map(one_trial, range(trials)):
-        hist[k] = hist.get(k, 0) + 1
+    counts, _ = _classify_trials(ConicPair.from_cubic(f), trials, seed)
+    values, freq = np.unique(counts, return_counts=True)
+    hist = dict(zip(values.tolist(), freq.tolist()))
     if D > 0 and set(hist) != {2}:
         raise ConsistencyError(f"D = {D:.6g} > 0 but histogram {hist} is not all 2s")
     if D < 0 and not set(hist) <= {0, 4}:

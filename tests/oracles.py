@@ -9,20 +9,27 @@ method, the library's companion-matrix solve by a different route.
 ``reference_audit_chords`` audits one chord at a time where the library
 evaluates all chords in one array pass, and ``reference_zero_divisor`` solves
 one sphere direction at a time where the library stacks them.
+``reference_classify_trials`` runs the classify probes one trial and one
+attempt at a time, where the library draws and solves every trial's probe
+at once, and ``reference_csv_text`` formats a CSV one value at a time, where
+the CLI formats each row with one template.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
+from typing import Any
 
 import numpy as np
 
 from osbk._pool import task_rng
 from osbk.core import as_phase_vector, minimize_scalar, omega_pairwise
 from osbk.correspondence import PARAM_DEDUP, CurveRoot, CurveScan, _wrap_dist
-from osbk.errors import UnstableCountError
+from osbk.errors import ConsistencyError, DegeneratePencilError, UnstableCountError
 from osbk.integrability import IntegralSet
 from osbk.manifolds import TWO_PI, GeneratingGraph, ManifoldSpec, TrigImmersion
+from osbk.wall import ConicPair, conic_intersections
 
 MAX_GRID = 1 << 17  # finest root-scan grid before the count is declared unstable
 
@@ -228,3 +235,52 @@ def reference_zero_divisor(graph: GeneratingGraph, q, sphere_samples: int = 4096
         if best is None or v < best[0]:
             best = (v, w)
     return best
+
+
+def reference_classify_trials(pair: ConicPair, trials: int, seed: int) -> tuple[list[int], list[int]]:
+    """(partner count, 1-based attempt number) of each trial's first generic classify probe.
+
+    Trial i draws Q, then W, from ``task_rng(seed, i)`` until the probe is
+    generic, one ``conic_intersections`` call per attempt; raises a
+    consistency error when a trial finds none in 200 attempts.
+    """
+    counts, attempts = [], []
+    for i in range(trials):
+        rng = task_rng(seed, i)
+        for attempt in range(1, 201):
+            Q = rng.uniform(-2.0, 2.0, 2)
+            W = rng.uniform(-2.0, 2.0, 2)
+            r1 = float(Q @ pair.A1 @ Q) - W[0]
+            r2 = float(Q @ pair.A2 @ Q) - W[1]
+            if math.hypot(r1, r2) < 0.3:
+                continue
+            try:
+                sols = conic_intersections(pair, r1, r2)
+            except DegeneratePencilError:
+                continue
+            if any(float(np.linalg.norm(w)) < 1e-3 for w in sols):
+                continue
+            gaps = [float(np.linalg.norm(a - b)) for k, a in enumerate(sols) for b in sols[k + 1 :]]
+            if gaps and min(gaps) < 1e-3:
+                continue
+            counts.append(len(sols))
+            attempts.append(attempt)
+            break
+        else:
+            raise ConsistencyError("could not draw a generic probe in 200 attempts")
+    return counts, attempts
+
+
+def reference_fmt(x: Any) -> str:
+    """One CSV value: booleans as 1/0, integers in full, floats with 17 significant digits."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+def reference_csv_text(header: list[str], rows) -> str:
+    """A CSV file's text, formatting one value at a time with :func:`reference_fmt`."""
+    lines = [",".join(header)] + [",".join(reference_fmt(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)

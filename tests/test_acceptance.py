@@ -257,6 +257,7 @@ def test_criterion_11_thread_count_determinism(tmp_path):
         "classify": ["classify", "--coeffs", "0,1,1,0", "--trials", "200", "--seed", "3"],
         "periodic": ["periodic", "--manifold", CIRCLE_JSON, "--n", "3", "--starts", "8", "--seed", "1"],
         "integrability": ["integrability", "--manifold", ELL_JSON, "--z", "2,0.1,-1,2.2", "--steps", "300"],
+        "iterate-ellipsoid": ["iterate", "--manifold", ELL_JSON, "--z", "2,0.1,-1,2.2", "--steps", "2000"],
         "integrability-cubic": ["integrability", "--manifold", CUBIC_JSON, "--pairs", "50"],
         "even-search": ["even-search", "--manifold", CHEB_JSON, "--n", "4", "--starts", "32"],
     }

@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 import osbk
 from osbk import cli
 
+from .oracles import reference_csv_text, reference_fmt
+
 CIRCLE = {"kind": "trig", "m": 1, "coeffs": [[[[1], 1.0, 0.0]], [[[1], 0.0, 1.0]]]}
 LAG_PLANE = {"kind": "trig", "m": 1, "coeffs": [[[[1], 1.0, 0.0]], [], [[[1], 0.0, 1.0]], []]}
 ELL = {"kind": "ellipsoid", "axes": [1.0, 2.0]}
 FT = {"kind": "graph", "n": 2, "terms": [[[1, 2], 1.0], [[2, 1], 1.0]], "box": [-5.0, 5.0]}
+# the benchmark's quartic table, stepped by the multi-start Newton route
+QUARTIC = {"kind": "graph", "n": 2, "terms": [[[2, 1], 1.0], [[1, 2], 1.0], [[4, 0], 0.1]], "box": [-3.0, 3.0]}
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(osbk.__file__).resolve().parents[1]))
 
 
@@ -238,6 +242,26 @@ class TestStep:
         assert text.endswith("\n")
         d = json.loads(text)
         assert text == json.dumps(d, indent=2, sort_keys=True) + "\n"
+
+    def test_numeric_graph_route_reports_its_starts(self, tmp_path):
+        # z = (q + w, grad F(q) + H(q) w) has the partner (q - w, grad F(q) - H(q) w)
+        graph = osbk.manifold_from_json(QUARTIC).table
+        q, w = np.array([0.6, -0.4]), np.array([0.3, 0.2])
+        z = osbk.interleave(q + w, graph.grad(q) + graph.hess(q) @ w)
+        out = tmp_path / "r"
+        argv = ["step", "--manifold", man(QUARTIC), f"--z={','.join(map(repr, z.tolist()))}", "--starts", "16"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        d = json.loads((out / "result.json").read_text())
+        assert d["count_is_lower_bound"] is True
+        assert d["starts"] == 16
+        assert d["count"] + d["rejected"] <= d["converged_starts"] <= 16
+        assert d["count"] >= 1
+
+    def test_exact_routes_carry_no_start_counts(self, capsys):
+        for argv in (["--manifold", man(CIRCLE), "--z", "2,0"], ["--manifold", man(FT), "--z", "1,0.5,-0.3,2"]):
+            rc, out, _ = run(["step", *argv], capsys)
+            assert rc == 0
+            assert not {"starts", "converged_starts", "count_is_lower_bound"} & set(json.loads(out))
 
 
 class TestIterate:
@@ -478,6 +502,70 @@ class TestCheck:
         assert rc == 0
         d = json.loads(out)
         assert d["condition_LL"]["probes"] == [[2.0, 0.0]]
+
+
+class TestCsvWriter:
+    """The one-template writer against the per-value oracle writer."""
+
+    CASES = {
+        "step-circle": ["step", "--manifold", man(CIRCLE), "--z", "2,0"],
+        "step-quartic": ["step", "--manifold", man(QUARTIC), "--z", "0.9,0.53,-0.2,-0.92", "--starts", "16"],
+        "iterate-circle": ["iterate", "--manifold", man(CIRCLE), "--z", "2,0.3", "--steps", "12"],
+        "iterate-ellipsoid": ["iterate", "--manifold", man(ELL), "--z", "2,0.1,-1,2.2", "--steps", "400"],
+        "periodic": ["periodic", "--manifold", man(CIRCLE), "--n", "3", "--starts", "8"],
+        "shoot": ["shoot", "--manifold", man(CIRCLE), "--n", "2", "--starts", "8"],
+        "wall": [
+            "wall",
+            "--manifold",
+            man(CIRCLE),
+            "--t-count",
+            "8",
+            "--plane-grid=-1,0,0.5",
+            "--probes",
+            "[[2.0,0.0],[0.1,0.0],[1.0,0.0],[-0.0,3.5]]",
+        ],
+        "integrability-ellipsoid": ["integrability", "--manifold", man(ELL), "--z", "2,0.1,-1,2.2", "--steps", "300"],
+        "integrability-cubic": ["integrability", "--manifold", man(FT), "--pairs", "40"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_csv_equals_the_oracle_writer(self, name, tmp_path, monkeypatch):
+        written = []
+        write = cli._write_csv
+
+        def keep(path, header, rows):
+            rows = list(rows)
+            written.append((path, header, rows))
+            write(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", keep)
+        assert cli.main([*self.CASES[name], "--out", str(tmp_path)]) == 0
+        assert written
+        for path, header, rows in written:
+            assert rows
+            assert Path(path).read_bytes() == reference_csv_text(header, rows).encode()
+
+    def test_crafted_rows(self, tmp_path):
+        header = ["index", "x1", "y1", "count", "on_wall", "degenerate"]
+        rows = [
+            (0, -0.0, 5e-324, 0, True, False),
+            (np.int64(1), 1e16, 2**53, np.int64(2**53), False, np.True_),
+            (2**53, np.float64(0.1), np.float64(-5e-324), 7, np.False_, True),
+            (3, float("inf"), -float("inf"), 1, 0, 1),
+            (4, float("nan"), 2.0**-1074 * 3, 2, 1, 0),
+        ]
+        path = tmp_path / "crafted.csv"
+        cli._write_csv(str(path), header, iter(rows))
+        assert path.read_bytes() == reference_csv_text(header, rows).encode()
+        assert path.read_text().splitlines()[1:3] == [
+            "0,-0,4.9406564584124654e-324,0,1,0",
+            "1,10000000000000000,9007199254740992,9007199254740992,0,1",
+        ]
+
+    def test_float_template_equals_format_on_random_bit_patterns(self):
+        x = np.random.default_rng(3).integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        values = x.tolist() + [0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324]
+        assert ["%.17g" % v for v in values] == [reference_fmt(v) for v in values]
 
 
 class TestDeterminism:

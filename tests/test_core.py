@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import osbk
-from osbk._pool import task_rng
+from osbk._pool import task_rng, task_uniform_blocks
 from osbk.core import minimize_scalar, omega_matrix, omega_pairwise, scale_tol, solve_stack
 
 from .conftest import random_symplectic
@@ -303,3 +303,19 @@ class TestTaskRng:
             lambda g: g.random(3),
         ):
             np.testing.assert_array_equal(draw(rng), draw(ref))
+
+    @pytest.mark.parametrize("seed", [0, 123456789, 2**64 + 5, 2**127 + 3])
+    def test_uniform_blocks_equal_task_rng_draws(self, seed):
+        # classify draws Q then W, two doubles each, per attempt: one Philox block
+        tasks = [0, 1, 17, 999_999, 2**70]
+        for blocks in (0, 1, 5, [3, 0, 2, 1, 4]):
+            got = task_uniform_blocks(seed, tasks, blocks, -2.0, 2.0)
+            assert got.shape == (len(tasks), 4)
+            for row, task, skip in zip(got, tasks, np.broadcast_to(blocks, (len(tasks),)).tolist()):
+                rng = task_rng(seed, task)
+                for _ in range(2 * skip):
+                    rng.uniform(-2.0, 2.0, 2)
+                np.testing.assert_array_equal(row, np.concatenate([rng.uniform(-2.0, 2.0, 2), rng.uniform(-2.0, 2.0, 2)]))
+
+    def test_uniform_blocks_of_no_tasks(self):
+        assert task_uniform_blocks(0, np.arange(0), 3, -1.0, 1.0).shape == (0, 4)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import osbk
 from osbk.core import omega_pairwise
+from osbk.correspondence import _ellipsoid_t2
 
 from .conftest import random_symplectic
 from .oracles import reference_scan_curve_roots
@@ -325,6 +326,57 @@ class TestEllipsoidStep:
         orbit = osbk.iterate_ellipsoid(ell2, z, steps=5)
         assert orbit.shape == (6, 4)
         assert np.array_equal(orbit[0], z)
+
+
+def _h(axes, c, s):
+    """h(s) = sum_j c_j a_j^2 / (a_j^2 + s) - 1 and h'(s), in the solver's own arithmetic."""
+    h, hp = -1.0, 0.0
+    for a, cj in zip(axes, c):
+        a2 = a * a
+        term = cj * a2 / (a2 + s)
+        h, hp = h + term, hp - term / (a2 + s)
+    return h, hp
+
+
+class TestEllipsoidWarmStart:
+    """Newton for s = t^2 started from below the root, as iterate_ellipsoid does after its first step."""
+
+    @staticmethod
+    def cases(count=3000):
+        # random axes, d = 1..3, per-plane levels c_j summing to 1.01..50
+        rng = np.random.default_rng(21)
+        for _ in range(count):
+            d = int(rng.integers(1, 4))
+            axes = tuple(rng.uniform(0.3, 3.0, d).tolist())
+            yield axes, (rng.dirichlet(np.ones(d)) * rng.uniform(1.01, 50.0)).tolist()
+
+    def test_warm_root_lies_in_the_cold_roots_rounding_band(self):
+        # the computed h is rounding noise of size eps (1 + sum c) near the root, so any
+        # monotone Newton stops within that band: |ds| |h'| <= eps (1 + sum c)
+        eps = np.finfo(float).eps
+        worst_ulp = 0.0
+        for axes, c in self.cases():
+            cold = _ellipsoid_t2(axes, c)
+            _, hp = _h(axes, c, cold)
+            for start in (cold * (1.0 - 1e-8), cold * (1.0 - 1e-3), 0.5 * cold, cold):
+                warm = _ellipsoid_t2(axes, c, start)
+                assert abs(warm - cold) * abs(hp) <= eps * (1.0 + sum(c))
+                worst_ulp = max(worst_ulp, abs(warm - cold) / np.spacing(cold))
+        assert worst_ulp <= 64  # 55 seen over 20000 cases at levels up to 50
+
+    def test_start_above_the_root_is_the_cold_solve(self):
+        for axes, c in self.cases(1000):
+            cold = _ellipsoid_t2(axes, c)
+            for start in (cold * (1.0 + 1e-8), 2.0 * cold, 1e3 * cold + 1.0):
+                assert _h(axes, c, start)[0] <= 0.0
+                assert _ellipsoid_t2(axes, c, start) == cold
+
+    def test_iterate_steps_match_cold_steps(self, ell2):
+        z = np.array([2.0, 0.1, -1.0, 2.2])
+        orbit = osbk.iterate_ellipsoid(ell2, z, 50)
+        assert np.array_equal(orbit[1], osbk.step_ellipsoid(ell2, z).partner)  # the first step is cold
+        for a, b in zip(orbit[1:-1], orbit[2:]):
+            np.testing.assert_allclose(b, osbk.step_ellipsoid(ell2, a).partner, rtol=0, atol=1e-13)
 
 
 class TestIterate:

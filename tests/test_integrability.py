@@ -7,8 +7,8 @@ import pytest
 import osbk
 from osbk import cli
 from osbk._pool import task_rng
-from osbk.core import NOISE_ULPS
-from osbk.integrability import AuditReport, audit_chords, poisson_bracket
+from osbk.core import NOISE_ULPS, interleave
+from osbk.integrability import AuditReport, IntegralSet, audit_chords, poisson_bracket
 
 from .conftest import random_symplectic
 from .oracles import fd_gradient, reference_audit_chords
@@ -172,6 +172,47 @@ class TestAuditInvariance:
         scale = max(1.0, float(np.max(np.abs(ints.values(z0)))))
         assert rep.worst_drift < 1e-10 * scale
         assert rep.worst_step is not None
+
+    @pytest.mark.parametrize("table", ["ellipsoid", "cubic"])
+    def test_orbit_audit_evaluates_each_point_once(self, table, ell2, ft_graph, monkeypatch):
+        if table == "ellipsoid":
+            spec = osbk.spec_for(ell2)
+            pts = osbk.iterate_ellipsoid(ell2, np.array([2.0, 0.1, -1.0, 2.2]), steps=300)
+        else:
+            spec = osbk.spec_for(ft_graph)
+            q, w = np.array([0.7, -0.2]), np.array([0.3, 0.4])
+            g, Hw = ft_graph.grad(q), ft_graph.hess(q) @ w
+            pts = np.array([interleave(q + w, g + Hw), interleave(q - w, g - Hw), interleave(q, g)])
+        ints = osbk.integrals_for(spec)
+        chords = audit_chords(spec, ints, pts[:-1], pts[1:])
+        evaluated = []
+        values = IntegralSet.values
+        monkeypatch.setattr(IntegralSet, "values", lambda self, z: evaluated.append(len(z)) or values(self, z))
+        rep = osbk.audit_invariance(spec, ints, pts)
+        assert evaluated == [len(pts)]
+        assert np.array_equal(rep.point_values, values(ints, pts))
+        assert np.array_equal(rep.chord_drift, chords.chord_drift)
+        assert rep.as_dict() == chords.as_dict() and rep.value_scale == chords.value_scale
+        assert chords.point_values is None
+
+    def test_cli_drift_csv_reads_the_audited_values(self, tmp_path, monkeypatch):
+        evaluated = []
+        values = IntegralSet.values
+        monkeypatch.setattr(IntegralSet, "values", lambda self, z: evaluated.append(len(z)) or values(self, z))
+        man = json.dumps({"kind": "ellipsoid", "axes": [1.0, 2.0]})
+        argv = ["integrability", "--manifold", man, "--z", "2,0.1,-1,2.2", "--steps", "200", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert evaluated == [201]
+        spec = osbk.manifold_from_json(json.loads(man))
+        pts = osbk.iterate(spec, [2.0, 0.1, -1.0, 2.2], 200)
+        rows = np.loadtxt(tmp_path / "drift.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 1:], values(osbk.integrals_for(spec), pts))
+
+    def test_lone_point_orbit_has_no_chords(self, ell2):
+        spec = osbk.spec_for(ell2)
+        rep = osbk.audit_invariance(spec, osbk.integrals_for(spec), [np.array([2.0, 0.1, -1.0, 2.2])])
+        assert rep.steps == 0 and rep.value_scale == 0.0
+        assert rep.point_values.shape == (1, 2)
 
     def test_worst_step_of_rounding_noise_is_the_first_chord(self, ell2):
         # every chord drifts by a few ulp of the integrals; none is worse than another

@@ -1,18 +1,24 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import osbk
+from osbk import wall
+from osbk.errors import ConsistencyError
 from osbk.wall import CubicForm2, ConicPair
 
-from .oracles import brute_conic_solutions, reference_zero_divisor
+from .oracles import brute_conic_solutions, reference_classify_trials, reference_zero_divisor
 
 coef = st.floats(-3.0, 3.0, allow_nan=False)
 
 FT = CubicForm2(0.0, 1.0, 1.0, 0.0)  # q1^2 q2 + q1 q2^2
 DIAG = CubicForm2(1.0, 0.0, 0.0, 1.0)  # q1^3 + q2^3
 RULED = CubicForm2(1.0, 1.0, 0.0, 0.0)  # q1^3 + q1^2 q2
+# small scale: r = Q.A Q - W is nearly -W, so the |r| >= 0.3 filter redraws about 2% of the probes
+SMALL = CubicForm2(0.01, 0.0, 0.0, 0.01)
 
 
 class TestWallSamples:
@@ -275,6 +281,53 @@ class TestClassification:
         assert d["class"] == "multiplicity-2"
         assert d["D"] == pytest.approx(1.0)
         assert d["trials"] == 16
+
+
+class TestStackedClassifyTrials:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("f", [FT, DIAG, SMALL], ids=["FT", "DIAG", "SMALL"])
+    def test_counts_and_attempts_equal_the_per_trial_oracle(self, f, seed):
+        pair = ConicPair.from_cubic(f)
+        counts, attempts = wall._classify_trials(pair, 500, seed)
+        ref_counts, ref_attempts = reference_classify_trials(pair, 500, seed)
+        assert counts.tolist() == ref_counts
+        assert attempts.tolist() == ref_attempts
+        if f is SMALL:
+            assert np.sum(attempts > 1) >= 3  # the masked redraw rounds did run
+
+    def test_no_generic_probe_in_200_attempts(self, monkeypatch):
+        rounds = []
+
+        def zeros(seed, tasks, blocks, low, high):  # Q = W = 0: r = 0 is never generic
+            rounds.append(blocks)
+            return np.zeros((len(tasks), 4))
+
+        monkeypatch.setattr(wall, "task_uniform_blocks", zeros)
+        with pytest.raises(ConsistencyError, match="could not draw a generic probe in 200 attempts"):
+            osbk.classify_cubic_table(FT, trials=5, seed=0)
+        assert rounds == list(range(200))
+
+    def test_conic_rows_equal_single_pair_calls(self):
+        # conic_intersections is row 0 of the stacked solve: any row of a stack gives its bits
+        rng = np.random.default_rng(4)
+        pair = ConicPair.from_cubic(DIAG)
+        r1, r2 = rng.uniform(-3.0, 3.0, (2, 64))
+        W, found, bad = wall._conic_stack(pair, r1, r2)
+        for k in range(64):
+            single = osbk.conic_intersections(pair, float(r1[k]), float(r2[k]))
+            assert not bad[k]
+            assert sorted(w.tobytes() for w in W[k, found[k]]) == sorted(w.tobytes() for w in single)
+
+
+    def test_degenerate_rows_are_flagged_where_the_single_pair_call_raises(self):
+        A = np.array([[1.0, 0.5], [0.5, -1.0]])
+        shared = ConicPair(np.diag([1.0, 0.0]), np.diag([0.0, 0.0]))  # every A2 line is null: w2-axis shared
+        for pair, r1, r2, reason in ((shared, 0.0, 0.0, 1), (ConicPair(A, 2.0 * A), 1.0, 2.0, 2)):
+            W, found, bad = wall._conic_stack(pair, np.array([r1, 3.0]), np.array([r2, -0.5]))
+            assert bad.tolist() == [reason, 0]
+            assert not found[0].any() and not W[0].any()
+            with pytest.raises(osbk.DegeneratePencilError, match=re.escape(wall._PENCIL_ERRORS[reason])):
+                osbk.conic_intersections(pair, r1, r2)
 
 
 class TestZeroDivisor:
