@@ -110,7 +110,7 @@ _COMMANDS: dict[str, list[Param]] = {
         Param("bracket_points", "int", 100, "random points for Poisson bracket checks", low=1),
     ],
     "check": [
-        Param("samples", "int", 512, "parameter samples per dimension", low=1),
+        Param("samples", "int", 512, "parameter grid points in total (round(samples^(1/m)) per axis)", low=1),
         Param("probes", "points", [], "probe points for condition (LL); sampled if empty"),
         Param("probe_count", "int", 8, "auto-generated probe count when probes is empty", low=1),
     ],
@@ -536,7 +536,7 @@ def _run_integrability(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tu
 
 
 def _auto_probes(spec: ManifoldSpec, count: int, seed: int) -> list[np.ndarray]:
-    pts = sample_params(spec, per_dim=32)
+    pts = sample_params(spec, 32)
     X = spec.embed(pts)
     lo, hi = X.min(axis=0), X.max(axis=0)
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo) + 1.0

@@ -12,10 +12,11 @@ The q-block/p-block layout used by Lagrangian-graph tables is converted at
 that module's boundary via :func:`interleave` / :func:`split_xy`; signed
 areas everywhere use the single convention above.
 
-Two numerical kernels shared by the solvers live here too: :func:`solve_stack`
-for stacks of possibly singular linear systems, and :func:`minimize_scalar`,
+Three numerical kernels shared by the solvers live here too: :func:`solve_stack`
+for stacks of possibly singular linear systems, :func:`minimize_scalar`,
 Brent's bounded minimization, ported from scipy so that importing osbk does
-not import scipy.
+not import scipy, and the one rule by which solutions found more than once
+merge: parameter points within ``DEDUP_RADIUS`` of each other.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .errors import DomainError
 
 GEOMETRIC_TOL = 1e-10
 NOISE_ULPS = 8  # values this many ulp of their magnitude apart are rounding noise, not structure
+DEDUP_RADIUS = 1e-6  # parameter points closer than this (max norm, angles wrapped) are one solution
+TWO_PI = 2.0 * math.pi
 
 
 def as_phase_vector(v) -> np.ndarray:
@@ -81,6 +84,44 @@ def solve_stack(A: np.ndarray, b: np.ndarray, rel: float) -> tuple[np.ndarray, n
     for k in np.flatnonzero(singular):
         x[k] = np.linalg.lstsq(A[k], b[k], rcond=None)[0]
     return x, singular
+
+
+def _params_close(
+    A: np.ndarray, B: np.ndarray, angular: bool, tol: float = DEDUP_RADIUS, shifts: bool = True
+) -> bool:
+    """Whether A (n, m) is within ``tol`` of B (n, m) or of any B[k] of a stack (K, n, m).
+
+    The distance is the max norm, taken modulo 2 pi when ``angular``. With
+    ``shifts``, every cyclic shift of B counts.
+    """
+    if B.shape[-2:] != A.shape:
+        return False
+    B = B.reshape(-1, *A.shape)
+    if shifts:
+        B = np.stack([np.roll(B, -s, axis=1) for s in range(A.shape[0])], axis=1)
+    d = np.abs(A - B)
+    if angular:
+        d = np.mod(d, TWO_PI)
+        d = np.minimum(d, TWO_PI - d)
+    return bool((d.max(axis=(-2, -1)) < tol).any())
+
+
+def _distinct(items: list, params: list[np.ndarray] | np.ndarray, angular: bool, shifts: bool) -> list:
+    """The items whose params are not close to those of an earlier kept item, in order.
+
+    Each item is compared with the stack of kept params, so the first item of
+    every cluster is kept: callers order the items best first.
+    """
+    if len(items) < 2:
+        return list(items)
+    kept = [items[0]]
+    stack = np.empty((len(params),) + params[0].shape)
+    stack[0] = params[0]
+    for item, P in zip(items[1:], params[1:]):
+        if not _params_close(P, stack[: len(kept)], angular, shifts=shifts):
+            stack[len(kept)] = P
+            kept.append(item)
+    return kept
 
 
 def minimize_scalar(fun, bounds, xatol: float = 1e-5, maxiter: int = 500):

@@ -13,8 +13,9 @@ family gets its own solver:
   variables, multi-start Newton with the exact third-derivative Jacobian
   otherwise.
 
-All solvers emit :class:`StepCandidate` records whose normalized
-omega-orthogonality residual is bounded by 1e-8.
+All solvers emit :class:`StepCandidate` records, built in one array pass,
+whose normalized omega-orthogonality residual is bounded by 1e-8; partners
+found twice merge by the package's one dedup rule (``core._distinct``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._pool import task_rng
-from .core import NOISE_ULPS, AffineSymplectic, as_phase_vector, interleave, omega_pairwise, solve_stack
+from .core import NOISE_ULPS, AffineSymplectic, _distinct, as_phase_vector, interleave, omega_pairwise, solve_stack
 from .core import minimize_scalar  # no caller here: the benchmark's trace hooks this name (ROADMAP direction 1)
 from .errors import DomainError, SearchFailedError
 from .manifolds import (
@@ -36,10 +37,10 @@ from .manifolds import (
     Table,
     TrigImmersion,
     TWO_PI,
+    _as_curve,
     spec_for,
 )
 
-PARAM_DEDUP = 1e-6  # candidates closer than this in parameter space merge
 POLISH_STEPS = 2  # Newton steps from the companion-matrix eigenvalues
 
 
@@ -82,6 +83,15 @@ def reflect(z, Q) -> np.ndarray:
     return 2.0 * Q - z
 
 
+def _row_residuals(delta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """max_a |omega(delta, zeta_a)| / (|delta| |zeta_a|) per chord of a stack (..., 2d) with rows (..., m, 2d)."""
+    vals = np.einsum("...ak,...k->...a", rows[..., 1::2], delta[..., 0::2]) - np.einsum(
+        "...ak,...k->...a", rows[..., 0::2], delta[..., 1::2]
+    )
+    scale = np.linalg.norm(delta, axis=-1)[..., None] * np.linalg.norm(rows, axis=-1)
+    return np.max(np.divide(np.abs(vals), scale, out=np.zeros_like(vals), where=scale > 0.0), axis=-1)
+
+
 def orthogonality_residual(delta: np.ndarray, tangent_rows: np.ndarray) -> float:
     """max_a |omega(delta, zeta_a)| / (|delta| |zeta_a|) over tangent rows.
 
@@ -90,44 +100,50 @@ def orthogonality_residual(delta: np.ndarray, tangent_rows: np.ndarray) -> float
     """
     delta = np.asarray(delta, dtype=float)
     rows = np.asarray(tangent_rows, dtype=float).reshape(delta.shape[:-1] + (-1, delta.shape[-1]))
-    vals = np.einsum("...ak,...k->...a", rows[..., 1::2], delta[..., 0::2]) - np.einsum(
-        "...ak,...k->...a", rows[..., 0::2], delta[..., 1::2]
-    )
-    scale = np.linalg.norm(delta, axis=-1)[..., None] * np.linalg.norm(rows, axis=-1)
-    return float(np.max(np.divide(np.abs(vals), scale, out=np.zeros_like(vals), where=scale > 0.0)))
+    return float(np.max(_row_residuals(delta, rows)))
 
 
-def _build_candidate(
-    z_local: np.ndarray,
-    mid_local: np.ndarray,
-    u,
-    rows_local: np.ndarray,
+def _step_candidates(
+    z: np.ndarray,
+    mids: np.ndarray,
+    params: np.ndarray,
+    rows: np.ndarray,
     transform: AffineSymplectic | None,
     *,
+    angular: bool = False,
     branch: int | None = None,
-    on_wall: bool = False,
-) -> StepCandidate:
+    on_wall: list[bool] | None = None,
+) -> list[StepCandidate]:
+    """The partners of source z through N midpoints (N, 2d) with params (N, m) and tangent rows (N, m, 2d).
+
+    Partners, chords, residuals and degenerate flags come from one array pass;
+    ``on_wall`` is None (no midpoint on the wall) or a flag per midpoint.
+    Midpoints found twice merge by the package's one dedup rule: ordered by
+    (residual, rounded param), each cluster keeps its lowest-residual member.
+    The kept candidates come sorted by param.
+    """
+    if not len(mids):
+        return []
     # point reflection commutes with affine maps, so the ambient partner is
-    # still 2*mid - source after pushing everything through the transform
-    if transform is None:
-        src, mid, rows = z_local, mid_local, rows_local
-    else:
-        src, mid = transform(z_local), transform(mid_local)
-        rows = np.atleast_2d(rows_local) @ transform.S.T
-    partner = 2.0 * mid - src
-    delta = partner - src
-    scale = max(1.0, float(np.max(np.abs(src))), float(np.max(np.abs(mid))))
-    degenerate = float(np.linalg.norm(delta)) <= 1e-9 * scale
-    return StepCandidate(
-        source=src,
-        partner=partner,
-        midpoint=mid,
-        midpoint_param=np.atleast_1d(np.asarray(u, dtype=float)),
-        residual=orthogonality_residual(delta, rows),
-        branch=branch,
-        on_wall=on_wall,
-        degenerate=degenerate,
-    )
+    # still 2*mid - source after pushing everything through the transform.
+    # The midpoints map as a stack of (1, 2d) rows: a point's product then has
+    # the same bits alone and in a stack, which one (N, 2d) product has not.
+    if transform is not None:
+        z, rows = transform(z), rows @ transform.S.T
+        mids = (mids[:, None, :] @ transform.S.T)[:, 0] + transform.b
+    partners = 2.0 * mids - z
+    chords = partners - z
+    scale = np.maximum(max(1.0, float(np.max(np.abs(z)))), np.max(np.abs(mids), axis=-1))
+    degenerate = (np.linalg.norm(chords, axis=-1) <= 1e-9 * scale).tolist()
+    residuals = _row_residuals(chords, rows).tolist()
+    on_wall = on_wall or [False] * len(mids)
+    rounded, by_param = params.round(12).tolist(), params.tolist()
+    order = sorted(range(len(mids)), key=lambda i: (residuals[i], rounded[i]))
+    kept = sorted(_distinct(order, params[order, None], angular, shifts=False), key=by_param.__getitem__)
+    return [
+        StepCandidate(z, partners[i], mids[i], params[i], residuals[i], branch, bool(on_wall[i]), degenerate[i])
+        for i in kept
+    ]
 
 
 # -- curves ------------------------------------------------------------------
@@ -146,11 +162,6 @@ class CurveScan:
     # ((samples, sign_change_count),): read by the benchmark's trace hook, which
     # goes once that hook counts from ``roots`` (ROADMAP direction 1)
     history: tuple[tuple[int, int], ...]
-
-
-def _wrap_dist(a, b):  # distance on the circle, elementwise
-    d = np.abs(a - b) % TWO_PI
-    return np.minimum(d, TWO_PI - d)
 
 
 def scan_curve_roots(curve: TrigImmersion, z) -> CurveScan:
@@ -232,46 +243,13 @@ def scan_curve_roots(curve: TrigImmersion, z) -> CurveScan:
 
 def step_curve(curve: TrigImmersion | ManifoldSpec, z) -> list[StepCandidate]:
     """All correspondence partners of z across a curve, sorted by midpoint parameter."""
-    spec = curve if isinstance(curve, ManifoldSpec) else spec_for(curve)
-    trig = spec.as_trig
-    if trig is None or trig.m != 1:
-        raise ValueError("step_curve requires a curve table")
+    trig = _as_curve(curve)
     z = as_phase_vector(z)
     roots = scan_curve_roots(trig, z).roots
-    ts = np.array([r.t for r in roots])
-    mids, tangents = trig.curve_jet(ts, (0, 1))
-    cands = [
-        _build_candidate(z, mid, [r.t], tan[None, :], None, on_wall=r.tangential)
-        for r, mid, tan in zip(roots, mids, tangents)
-    ]
-    return _dedup(cands, angular=True)
-
-
-def _dedup(cands: list[StepCandidate], angular: bool) -> list[StepCandidate]:
-    """Merge candidates within the parameter dedup radius, keeping lower residual."""
-    def key(c: StepCandidate):
-        return (tuple(np.round(c.midpoint_param, 12)), c.residual)
-
-    cands = sorted(cands, key=key)
-    kept: list[StepCandidate] = []
-    for c in cands:
-        dup = False
-        for i, k in enumerate(kept):
-            du = c.midpoint_param - k.midpoint_param
-            dist = (
-                max(_wrap_dist(a, b) for a, b in zip(c.midpoint_param, k.midpoint_param))
-                if angular
-                else float(np.max(np.abs(du)))
-            )
-            if dist < PARAM_DEDUP:
-                dup = True
-                if c.residual < k.residual:
-                    kept[i] = c
-                break
-        if not dup:
-            kept.append(c)
-    kept.sort(key=lambda c: tuple(c.midpoint_param))
-    return kept
+    ts = np.array([r.t for r in roots]).reshape(-1, 1)
+    mids, tangents = trig.curve_jet(ts[:, 0], (0, 1))
+    walled = [r.tangential for r in roots]
+    return _step_candidates(z, mids, ts, tangents[:, None, :], None, angular=True, on_wall=walled)
 
 
 # -- ellipsoids ---------------------------------------------------------------
@@ -351,7 +329,7 @@ def step_ellipsoid(
         raise DomainError(f"source must lie strictly outside the ellipsoid (level {level:.6g}, need > 1)")
     mid = interleave(q, p)
     rows = _ellipsoid_tangent_rows(ell, mid)
-    return _build_candidate(z, mid, ell.param_of(mid), rows, transform, branch=branch)
+    return _step_candidates(z, mid[None], ell.param_of(mid)[None], rows[None], transform, branch=branch)[0]
 
 
 def iterate_ellipsoid(ell: SymplecticEllipsoid, z0, steps: int, branch: int = 1) -> np.ndarray:
@@ -432,14 +410,8 @@ def step_cubic_graph(graph: GeneratingGraph, z, transform: AffineSymplectic | No
     Q, W = z[0::2].copy(), z[1::2].copy()
     r = graph.grad(Q) - W
     pair = ConicPair.from_cubic_poly(graph.F)
-    sols = conic_intersections(pair, float(r[0]), float(r[1]))
-    cands = []
-    for w in sols:
-        q = Q - w
-        mid = graph.embed(q)
-        rows = graph.tangent_rows(q)
-        cands.append(_build_candidate(z, mid, q, rows, transform))
-    return _dedup(cands, angular=False)
+    q = Q - np.reshape(conic_intersections(pair, float(r[0]), float(r[1])), (-1, 2))
+    return _step_candidates(z, graph.embed(q), q, graph.tangent_rows(q), transform)
 
 
 class NewtonPartners(list):
@@ -500,11 +472,9 @@ def step_graph_numeric(
         idx = idx[keep]
         q[idx] = qa[keep] - delta[keep]
         active[idx[np.max(np.abs(q[idx]), axis=1) > bound]] = False  # runaway
-    cands = [
-        _build_candidate(z, graph.embed(q[i]), q[i], graph.tangent_rows(q[i]), transform, on_wall=bool(on_wall[i]))
-        for i in np.flatnonzero(converged)
-    ]
-    return NewtonPartners(_dedup(cands, angular=False), starts, len(cands))
+    q, on_wall = q[converged], on_wall[converged]
+    cands = _step_candidates(z, graph.embed(q), q, graph.tangent_rows(q), transform, on_wall=on_wall.tolist())
+    return NewtonPartners(cands, starts, len(q))
 
 
 # -- verification and dispatch --------------------------------------------------
@@ -519,6 +489,13 @@ class PairReport:
 
 
 def verify_pair(spec: ManifoldSpec, z, z_prime, u) -> PairReport:
+    """Re-check a claimed pair (z, z') with midpoint parameter u, whichever route produced it.
+
+    Returns |embed(u) - (z + z')/2|, the distance of the midpoint from the
+    table point at u, and the normalized omega-orthogonality residual of the
+    chord z' - z against the tangent basis at u (rank-checked, so a singular
+    parameter raises :class:`ImmersionError`). Both are 0 for an exact pair.
+    """
     z = as_phase_vector(z)
     zp = as_phase_vector(z_prime)
     mid = spec.embed(u)

@@ -34,9 +34,9 @@ import numpy as np
 
 from . import poly as _poly
 from .core import AffineLagrangian, AffineSymplectic, GEOMETRIC_TOL, NOISE_ULPS, interleave, minimize_scalar, omega_pairwise
+from .core import TWO_PI
 from .errors import ConfigError, ImmersionError
 
-TWO_PI = 2.0 * math.pi
 MIN_SINGULAR_VALUE = 1e-8  # below this a tangent space counts as rank deficient
 CONVEXITY_SAMPLES = 1024  # grid of the convexity profile before local refinement
 
@@ -541,6 +541,18 @@ def spec_for(table: Table, transform: AffineSymplectic | None = None) -> Manifol
     return ManifoldSpec(table, transform)
 
 
+def _as_curve(curve: TrigImmersion | ManifoldSpec) -> TrigImmersion:
+    """The curve (m = 1) of a trig immersion or of a spec, any transform folded in."""
+    if isinstance(curve, ManifoldSpec):
+        trig = curve.as_trig
+        if trig is None or trig.m != 1:
+            raise ValueError("expected a curve table")
+        return trig
+    if curve.m != 1:
+        raise ValueError("expected a curve (m = 1)")
+    return curve
+
+
 def coordinate_lagrangian_pair(dim: int) -> tuple[AffineLagrangian, AffineLagrangian]:
     """The coordinate x-subspace and y-subspace of R^{2d} as affine Lagrangians."""
     d = dim // 2
@@ -556,12 +568,17 @@ def coordinate_lagrangian_pair(dim: int) -> tuple[AffineLagrangian, AffineLagran
 # -- sampling ---------------------------------------------------------------
 
 
-def sample_params(spec: ManifoldSpec, per_dim: int = 512, cap: int = 1024) -> np.ndarray:
-    """Deterministic parameter samples: offset grid, strided down to <= cap points."""
+def sample_params(spec: ManifoldSpec, points: int = 512, cap: int = 1024) -> np.ndarray:
+    """Deterministic parameter samples: an offset grid of about ``points`` points, strided down to <= cap.
+
+    The grid has round(points^(1/m)) samples per parameter axis, at least 4 and
+    at most ``points``: 512 gives 512 on a curve, 23^2 = 529 on a torus and
+    8^3 = 512 on a three-parameter chart.
+    """
     m = spec.param_dim
     lo, hi = spec.box
-    n_side = max(4, int(round(per_dim ** (1.0 / m)))) if m > 1 else per_dim
-    n_side = min(n_side, per_dim)
+    n_side = max(4, int(round(points ** (1.0 / m)))) if m > 1 else points
+    n_side = min(n_side, points)
     axes = [(np.arange(n_side) + 0.5) * (hi - lo) / n_side + lo for _ in range(m)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -579,13 +596,14 @@ class ConditionLReport:
 
 
 def check_condition_L(spec: ManifoldSpec, samples: int = 512, tol: float | None = None) -> ConditionLReport:
-    """Sampled check that the table is not inside an affine Lagrangian subspace.
+    """Sampled check, on the :func:`sample_params` grid of about ``samples`` points
+    in total, that the table is not inside an affine Lagrangian subspace.
 
     Certifies "holds" with a witness triple (u0, ui, uj) such that
     |omega(x_i - x_0, x_j - x_0)| exceeds tolerance; a False verdict only
     means no witness was found at this resolution (one-sided check).
     """
-    pts = sample_params(spec, per_dim=samples)
+    pts = sample_params(spec, samples)
     X = spec.embed(pts)
     V = X[1:] - X[0]
     if V.shape[0] < 2:
@@ -613,27 +631,29 @@ def check_condition_LL(
 ) -> ConditionLLReport:
     """Sampled check that no probe P sees every tangent space omega-orthogonal
     to its chord: true per probe iff some sample x and tangent zeta give
-    |omega(x - P, zeta)| above tolerance. One-sided, like condition (L)."""
-    pts = sample_params(spec, per_dim=samples)
+    |omega(x - P, zeta)| above tolerance. The samples x are the grid of
+    condition (L), and the check is one-sided like it."""
+    pts = sample_params(spec, samples)
     X = spec.embed(pts)
     T = spec.tangent_basis(pts)  # (N, m, 2d)
+    D = X - np.asarray(probes, dtype=float).reshape(len(probes), 1, X.shape[1])  # (probes, N, 2d)
+    # omega of every (probe, direction, sample) row in one pass; the witness is
+    # the first largest |omega| in (direction, sample) order
+    shape = (len(D), T.shape[1]) + X.shape
+    vals = omega_pairwise(
+        np.broadcast_to(D[:, None], shape).reshape(-1, X.shape[1]),
+        np.broadcast_to(np.swapaxes(T, 0, 1), shape).reshape(-1, X.shape[1]),
+    ).reshape(len(D), T.shape[1] * len(pts))
+    best = np.argmax(np.abs(vals), axis=1)
+    tmax = max(1.0, float(np.max(np.abs(T))))
     verdicts: list[bool] = []
     witnesses: list[tuple[np.ndarray, int, float] | None] = []
-    for P in probes:
-        P = np.asarray(P, dtype=float)
-        D = X - P
-        threshold = (GEOMETRIC_TOL if tol is None else tol) * max(1.0, float(np.max(np.abs(D)))) * max(
-            1.0, float(np.max(np.abs(T)))
-        )
-        best_val, best = 0.0, None
-        for a in range(T.shape[1]):
-            vals = omega_pairwise(D, T[:, a, :])
-            k = int(np.argmax(np.abs(vals)))
-            if abs(vals[k]) > abs(best_val):
-                best_val, best = float(vals[k]), (pts[k], a, float(vals[k]))
-        ok = abs(best_val) > threshold
-        verdicts.append(ok)
-        witnesses.append(best if ok else None)
+    for i, j in enumerate(best.tolist()):
+        threshold = (GEOMETRIC_TOL if tol is None else tol) * max(1.0, float(np.max(np.abs(D[i])))) * tmax
+        a, k = divmod(j, len(pts))
+        v = float(vals[i, j])
+        verdicts.append(abs(v) > threshold)
+        witnesses.append((pts[k], a, v) if verdicts[-1] else None)
     return ConditionLLReport(all(verdicts), tuple(verdicts), tuple(witnesses), pts.shape[0])
 
 
@@ -654,13 +674,7 @@ def symplectic_convexity_profile(curve: TrigImmersion | ManifoldSpec) -> Convexi
     circle, the Chebyshev (1,2) curve) is constant up to rounding: it is not
     refined, and argmin and argmax are both the first grid sample, t = 0.
     """
-    if isinstance(curve, ManifoldSpec):
-        trig = curve.as_trig
-        if trig is None or trig.m != 1:
-            raise ValueError("convexity profile is defined for curves only")
-        curve = trig
-    elif curve.m != 1:
-        raise ValueError("convexity profile is defined for curves only")
+    curve = _as_curve(curve)
 
     def f(ts) -> np.ndarray:
         return omega_pairwise(*curve.curve_jet(ts, (1, 2)))

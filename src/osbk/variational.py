@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._pool import task_rng
-from .core import AffineLagrangian, AffineSymplectic, normalize_lagrangian_pair, omega_pairwise, solve_stack
+from .core import AffineLagrangian, AffineSymplectic, _distinct, normalize_lagrangian_pair, omega_pairwise, solve_stack
 from .errors import ClosureError
 from .manifolds import ManifoldSpec, TWO_PI
 from .correspondence import orthogonality_residual
@@ -35,7 +35,6 @@ from .correspondence import orthogonality_residual
 # singular there and converges only to about sqrt(eps), so coinciding
 # midpoints come back that far apart.
 DEGENERACY_TOL = math.sqrt(np.finfo(float).eps)
-ORBIT_DEDUP = 1e-6
 ORBIT_RESIDUAL_TOL = 1e-8  # reported orbits have normalized orthogonality residuals at most this
 
 
@@ -339,33 +338,6 @@ def _canonical_shift(U: np.ndarray) -> np.ndarray:
     """Cyclic shift minimizing lexicographic order of the rounded parameter list."""
     shifted = [np.roll(U, -s, axis=0) for s in range(U.shape[0])]
     return min(shifted, key=lambda C: tuple(np.round(C.ravel(), 9)))
-
-
-def _params_close(
-    A: np.ndarray, B: np.ndarray, angular: bool, tol: float = ORBIT_DEDUP, shifts: bool = True
-) -> bool:
-    """Whether A (n, m) is within ``tol`` of B (n, m) or of any B[k] of a stack (K, n, m).
-
-    With ``shifts``, every cyclic shift of B counts.
-    """
-    if B.shape[-2:] != A.shape:
-        return False
-    B = B.reshape(-1, *A.shape)
-    d = np.abs(A - np.stack([np.roll(B, -s, axis=1) for s in range(A.shape[0] if shifts else 1)], axis=1))
-    if angular:
-        d = np.minimum(np.mod(d, TWO_PI), TWO_PI - np.mod(d, TWO_PI))
-    return bool(np.any(np.max(d, axis=(-2, -1)) < tol))
-
-
-def _distinct(items: list, params: list[np.ndarray], angular: bool, shifts: bool) -> list:
-    """The items whose params are not close to those of an earlier kept item, in order."""
-    kept: list = []
-    stack = np.empty((len(params),) + (params[0].shape if params else ()))
-    for item, P in zip(items, params):
-        if not _params_close(P, stack[: len(kept)], angular, shifts=shifts):
-            stack[len(kept)] = P
-            kept.append(item)
-    return kept
 
 
 def _search_core(

@@ -24,20 +24,9 @@ import numpy as np
 from ._pool import task_rng, task_uniform_blocks
 from .core import apply_J, as_phase_vector, omega, omega_pairwise
 from .errors import ConsistencyError, DegeneratePencilError, UnstableCountError
-from .manifolds import GeneratingGraph, ManifoldSpec, TrigImmersion
+from .manifolds import GeneratingGraph, ManifoldSpec, TrigImmersion, _as_curve
 from .poly import Poly
 from .correspondence import scan_curve_roots
-
-
-def _as_curve(curve: TrigImmersion | ManifoldSpec) -> TrigImmersion:
-    if isinstance(curve, ManifoldSpec):
-        trig = curve.as_trig
-        if trig is None or trig.m != 1:
-            raise ValueError("expected a curve table")
-        return trig
-    if curve.m != 1:
-        raise ValueError("expected a curve (m = 1)")
-    return curve
 
 
 # -- curve wall ---------------------------------------------------------------

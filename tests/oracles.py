@@ -12,7 +12,10 @@ one sphere direction at a time where the library stacks them.
 ``reference_classify_trials`` runs the classify probes one trial and one
 attempt at a time, where the library draws and solves every trial's probe
 at once, and ``reference_csv_text`` formats a CSV one value at a time, where
-the CLI formats each row with one template.
+the CLI formats each row with one template. ``reference_step_candidates``
+builds step partners one candidate at a time and merges them by a pairwise
+scan, where the library builds them as one stack and merges them by the
+package's single dedup rule.
 """
 
 from __future__ import annotations
@@ -25,13 +28,20 @@ import numpy as np
 
 from osbk._pool import task_rng
 from osbk.core import as_phase_vector, minimize_scalar, omega_pairwise
-from osbk.correspondence import PARAM_DEDUP, CurveRoot, CurveScan, _wrap_dist
+from osbk.correspondence import CurveRoot, CurveScan, StepCandidate
 from osbk.errors import ConsistencyError, DegeneratePencilError, UnstableCountError
 from osbk.integrability import IntegralSet
 from osbk.manifolds import TWO_PI, GeneratingGraph, ManifoldSpec, TrigImmersion
 from osbk.wall import ConicPair, conic_intersections
 
 MAX_GRID = 1 << 17  # finest root-scan grid before the count is declared unstable
+REFERENCE_DEDUP = 1e-6  # roots and candidates closer than this in parameter space are one
+
+
+def reference_wrap_dist(a, b) -> np.ndarray:
+    """Distance on the circle, elementwise."""
+    d = np.abs(a - b) % TWO_PI
+    return np.minimum(d, TWO_PI - d)
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -176,7 +186,7 @@ def reference_scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> Cur
     for i in np.nonzero(is_min)[0]:
         x, _ = minimize_scalar(lambda s: g(s)[0] ** 2, (ts[i] - h, ts[i] + h), xatol=1e-13)
         tc = x % TWO_PI
-        if abs(g(tc)[0]) <= 1e-9 * gscale and np.all(_wrap_dist(tc, np.append(roots, tangential)) > PARAM_DEDUP):
+        if abs(g(tc)[0]) <= 1e-9 * gscale and np.all(reference_wrap_dist(tc, np.append(roots, tangential)) > REFERENCE_DEDUP):
             tangential.append(tc)
 
     d0, d2 = curve.curve_batch(roots, 0) - z, curve.curve_batch(roots, 2)
@@ -185,6 +195,58 @@ def reference_scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> Cur
     out = list(map(CurveRoot, roots.tolist(), flat.tolist())) + [CurveRoot(t, True) for t in tangential]
     out.sort(key=lambda r: r.t)
     return CurveScan(tuple(out), len(flips), tuple(history))
+
+
+def _reference_candidate(z, mid, u, rows, transform, branch, on_wall) -> StepCandidate:
+    """One candidate: partner 2 mid - z after pushing z, mid and rows through ``transform``."""
+    if transform is not None:
+        z, mid, rows = transform(z), transform(mid), np.atleast_2d(rows) @ transform.S.T
+    partner = 2.0 * mid - z
+    delta = partner - z
+    scale = max(1.0, float(np.max(np.abs(z))), float(np.max(np.abs(mid))))
+    rows = np.asarray(rows, dtype=float).reshape(-1, delta.size)
+    vals = np.einsum("...ak,...k->...a", rows[..., 1::2], delta[..., 0::2]) - np.einsum(
+        "...ak,...k->...a", rows[..., 0::2], delta[..., 1::2]
+    )
+    norms = np.linalg.norm(delta, axis=-1)[..., None] * np.linalg.norm(rows, axis=-1)
+    residual = float(np.max(np.divide(np.abs(vals), norms, out=np.zeros_like(vals), where=norms > 0.0)))
+    return StepCandidate(
+        source=z,
+        partner=partner,
+        midpoint=mid,
+        midpoint_param=np.atleast_1d(np.asarray(u, dtype=float)),
+        residual=residual,
+        branch=branch,
+        on_wall=on_wall,
+        degenerate=float(np.linalg.norm(delta)) <= 1e-9 * scale,
+    )
+
+
+def reference_step_candidates(z, points, angular: bool, transform=None, branch=None) -> list[StepCandidate]:
+    """The partners of z through ``points``, a list of (midpoint, param, tangent rows, on_wall).
+
+    Builds one candidate per point, then merges by a pairwise scan over the
+    candidates sorted by (rounded param, residual): a candidate within
+    ``REFERENCE_DEDUP`` of a kept one (angles wrapped when ``angular``)
+    replaces it when its residual is lower. The kept ones come sorted by param.
+    """
+    cands = [_reference_candidate(z, mid, u, rows, transform, branch, on_wall) for mid, u, rows, on_wall in points]
+    cands.sort(key=lambda c: (tuple(np.round(c.midpoint_param, 12)), c.residual))
+    kept: list[StepCandidate] = []
+    for c in cands:
+        for i, k in enumerate(kept):
+            if angular:
+                dist = max(reference_wrap_dist(a, b) for a, b in zip(c.midpoint_param, k.midpoint_param))
+            else:
+                dist = float(np.max(np.abs(c.midpoint_param - k.midpoint_param)))
+            if dist < REFERENCE_DEDUP:
+                if c.residual < k.residual:
+                    kept[i] = c
+                break
+        else:
+            kept.append(c)
+    kept.sort(key=lambda c: tuple(c.midpoint_param))
+    return kept
 
 
 def reference_audit_chords(spec: ManifoldSpec, integrals: IntegralSet, chords) -> tuple:

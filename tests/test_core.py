@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import osbk
 from osbk._pool import task_rng, task_uniform_blocks
-from osbk.core import minimize_scalar, omega_matrix, omega_pairwise, scale_tol, solve_stack
+from osbk.core import _distinct, _params_close, minimize_scalar, omega_matrix, omega_pairwise, scale_tol, solve_stack
 
 from .conftest import random_symplectic
 
@@ -233,6 +233,27 @@ class TestSolveStack:
         A = np.array([np.diag([1e6, 1e-3]), np.diag([1.0, 1e-3])])
         _, singular = solve_stack(A, np.ones((2, 2)), 1e-8)
         assert singular.tolist() == [True, False]
+
+
+class TestDedup:
+    """The one rule by which step partners and orbits found twice merge."""
+
+    def test_radius_is_strict_max_norm(self):
+        A = np.array([[0.5, 1.0]])
+        assert _params_close(A, A + [[9e-7, -9e-7]], angular=False, shifts=False)
+        assert not _params_close(A, A + [[0.0, 2e-6]], angular=False, shifts=False)
+
+    def test_cyclic_shift_merges_periodic_orbits_not_chains(self):
+        U = np.array([[0.1, 0.2], [1.3, 0.4], [2.5, 0.6]])
+        shifted = np.roll(U, 1, axis=0)
+        assert _distinct(["orbit", "shifted"], [U, shifted], angular=True, shifts=True) == ["orbit"]
+        assert _distinct(["chain", "shifted"], [U, shifted], angular=False, shifts=False) == ["chain", "shifted"]
+
+    def test_first_of_each_cluster_kept_in_order(self):
+        params = [np.array([[x]]) for x in (3.0, 1.0, 3.0 + 1e-7, 1.0 - 1e-7, 2.0)]
+        assert _distinct(list("abcde"), params, angular=False, shifts=False) == ["a", "b", "e"]
+        assert _distinct([], [], angular=True, shifts=True) == []
+        assert _distinct(["x"], params[:1], angular=True, shifts=True) == ["x"]
 
 
 class TestMinimizeScalar:

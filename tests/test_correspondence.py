@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osbk
-from osbk.core import omega_pairwise
+from osbk import correspondence
+from osbk.core import TWO_PI, omega_pairwise
 from osbk.correspondence import _ellipsoid_t2
+from osbk.wall import ConicPair, conic_intersections
 
 from .conftest import random_symplectic
-from .oracles import reference_scan_curve_roots
+from .oracles import reference_scan_curve_roots, reference_step_candidates
 
 SQRT3 = np.sqrt(3.0)
 
@@ -555,3 +557,118 @@ class TestVerifyPair:
         zp = np.array([0.0, 2.0])
         rep = osbk.verify_pair(circle_spec, z, zp, np.array([0.0]))
         assert rep.midpoint_residual > 1e-2
+
+
+QUARTIC = osbk.GeneratingGraph(osbk.Poly(2, {(2, 1): 1.0, (1, 2): 1.0, (4, 0): 0.1}), (-3.0, 3.0))
+
+
+def _pair_points(graph, rng, count):
+    """Sources with a partner across ``graph``: midpoint embed(q), chord (w, H(q) w)."""
+    q, w = rng.uniform(-1.5, 1.5, (count, 2)), rng.uniform(-0.5, 0.5, (count, 2))
+    return graph.embed(q) - osbk.interleave(w, (graph.hess(q) @ w[..., None])[..., 0])
+
+
+class TestCandidatesMatchReference:
+    """Step candidates built as one stack and merged by the package's one dedup
+    rule equal the one-candidate-at-a-time route byte for byte."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for field in ("source", "partner", "midpoint", "midpoint_param"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+            assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
+            assert (a.branch, a.on_wall, a.degenerate) == (b.branch, b.on_wall, b.degenerate)
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """The arguments of every ``_step_candidates`` call from here on."""
+        calls, real = [], correspondence._step_candidates
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(correspondence, "_step_candidates", record)
+        return calls
+
+    @pytest.mark.parametrize("curve", [osbk.circle(), osbk.chebyshev_curve((1, 2))], ids=["circle", "chebyshev"])
+    def test_curves(self, curve):
+        rng = np.random.default_rng(21)
+        on_curve = curve.curve_batch(rng.uniform(0.0, TWO_PI, 4), 0)
+        total = 0
+        for z in np.vstack([rng.uniform(-2.5, 2.5, (24, curve.ambient_dim)), on_curve]):
+            roots = osbk.scan_curve_roots(curve, z).roots
+            mids, tangents = curve.curve_jet(np.array([r.t for r in roots]), (0, 1))
+            points = [(m, [r.t], t[None, :], r.tangential) for r, m, t in zip(roots, mids, tangents)]
+            got = osbk.step_curve(curve, z)
+            self.assert_same(got, reference_step_candidates(z, points, angular=True))
+            total += len(got)
+        assert total > 40
+
+    def test_cubic_exact_route(self, ft_graph):
+        pair = ConicPair.from_cubic_poly(ft_graph.F)
+        for z in np.random.default_rng(22).uniform(-2.0, 2.0, (24, 4)):
+            Q, W = z[0::2], z[1::2]
+            r = ft_graph.grad(Q) - W
+            qs = [Q - w for w in conic_intersections(pair, float(r[0]), float(r[1]))]
+            points = [(ft_graph.embed(q), q, ft_graph.tangent_rows(q), False) for q in qs]
+            got = osbk.step_cubic_graph(ft_graph, z)
+            self.assert_same(got, reference_step_candidates(z, points, angular=False))
+
+    @pytest.mark.parametrize("transformed", [False, True])
+    @pytest.mark.parametrize("graph, starts", [("cubic", 32), ("quartic", 64)])
+    def test_numeric_route(self, monkeypatch, ft_graph, graph, starts, transformed):
+        graph = ft_graph if graph == "cubic" else QUARTIC
+        rng = np.random.default_rng(23)
+        T = random_symplectic(2, rng) if transformed else None
+        calls = self.spy(monkeypatch)
+        for seed, z in enumerate(_pair_points(graph, rng, 8)):
+            got = osbk.step_graph_numeric(graph, z, starts=starts, seed=seed, transform=T)
+            (_, _, q, _, _), kwargs = calls[-1]
+            points = [(graph.embed(qi), qi, graph.tangent_rows(qi), w) for qi, w in zip(q, kwargs["on_wall"])]
+            assert got and len(points) == got.converged
+            self.assert_same(got, reference_step_candidates(z, points, angular=False, transform=T))
+
+    @pytest.mark.parametrize("branch", [1, -1])
+    def test_transformed_ellipsoid(self, monkeypatch, ell2, branch):
+        rng = np.random.default_rng(24)
+        T = random_symplectic(2, rng)
+        spec = osbk.ManifoldSpec(ell2, T)
+        calls = self.spy(monkeypatch)
+        for z in rng.uniform(2.0, 3.0, (16, 4)) * rng.choice([-1.0, 1.0], (16, 4)):
+            (got,) = osbk.step(spec, T(z), branch=branch)
+            (src, mids, params, rows, transform), _ = calls[-1]
+            want = reference_step_candidates(src, [(mids[0], params[0], rows[0], False)], False, transform, branch)
+            self.assert_same([got], want)
+
+
+def _partners(params, tilts, angular):
+    """``_step_candidates`` from source 0 through midpoints (1, 0): a tangent row
+    (1, tilt) gives the residual |tilt| / |(1, tilt)|."""
+    params = np.asarray(params, dtype=float).reshape(len(tilts), -1)
+    mids = np.tile([1.0, 0.0], (len(tilts), 1))
+    rows = np.array([[[1.0, t]] for t in tilts])
+    return correspondence._step_candidates(np.zeros(2), mids, params, rows, None, angular=angular)
+
+
+class TestMerge:
+    """Partners found twice merge by the package's one dedup rule."""
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    def test_lower_residual_kept_and_sorted_by_param(self, order):
+        params = np.array([2.0, 1.0 + 5e-7, 1.0])[order]
+        tilts = np.array([1e-9, 1e-12, 1e-10])[order]
+        kept = _partners(params, tilts, angular=False)
+        assert [c.midpoint_param[0] for c in kept] == [1.0 + 5e-7, 2.0]
+        assert [c.residual for c in kept] == pytest.approx([1e-12, 1e-9], rel=1e-6)
+
+    def test_angles_wrap_graph_params_do_not(self):
+        params, tilts = [1e-7, TWO_PI - 1e-7], [2e-10, 1e-10]
+        assert [c.midpoint_param[0] for c in _partners(params, tilts, angular=True)] == [TWO_PI - 1e-7]
+        assert [c.midpoint_param[0] for c in _partners(params, tilts, angular=False)] == params
+
+    def test_outside_the_radius_both_kept(self):
+        kept = _partners([[0.5, 1.0 + 2e-6], [0.5, 1.0]], [1e-11, 1e-10], angular=False)
+        assert [c.midpoint_param.tolist() for c in kept] == [[0.5, 1.0], [0.5, 1.0 + 2e-6]]

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import osbk
-from osbk.core import NOISE_ULPS
+from osbk.core import NOISE_ULPS, omega_pairwise
 from osbk.manifolds import trig_product
 
 from .conftest import random_symplectic
@@ -146,7 +146,7 @@ class TestEllipsoid:
         e = osbk.SymplecticEllipsoid((0.7, 2.0, 3.0))
         imm = e.to_immersion()
         spec = osbk.spec_for(imm)
-        for u in osbk.manifolds.sample_params(spec, per_dim=64, cap=50):
+        for u in osbk.manifolds.sample_params(spec, points=64, cap=50):
             assert e.level(imm.value(u)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -322,6 +322,28 @@ class TestConditionLL:
         rep = osbk.check_condition_LL(lagrangian_plane_curve, [good, bad])
         assert rep.per_probe == (True, False)
         assert not rep.holds
+
+    @pytest.mark.parametrize("spec_name", ["cheb_spec", "torus_spec"])
+    def test_witness_is_first_largest_in_direction_sample_order(self, request, spec_name):
+        spec = request.getfixturevalue(spec_name)
+        rng = np.random.default_rng(8)
+        probes = [rng.uniform(-3.0, 3.0, spec.ambient_dim) for _ in range(4)]
+        rep = osbk.check_condition_LL(spec, probes, samples=64)
+        pts = osbk.manifolds.sample_params(spec, 64)
+        X, T = spec.embed(pts), spec.tangent_basis(pts)
+        for P, (u, a, val) in zip(probes, rep.witnesses):
+            # one probe and one direction at a time, kept only when strictly larger
+            best = None
+            for b in range(T.shape[1]):
+                vals = omega_pairwise(X - P, T[:, b, :])
+                k = int(np.argmax(np.abs(vals)))
+                if best is None or abs(vals[k]) > abs(best[2]):
+                    best = (pts[k], b, float(vals[k]))
+            assert (u.tobytes(), a, val) == (best[0].tobytes(), best[1], best[2])
+
+    def test_no_probes_holds_vacuously(self, circle_spec):
+        rep = osbk.check_condition_LL(circle_spec, [])
+        assert rep.holds and rep.per_probe == () and rep.witnesses == ()
 
 
 class TestConvexityProfile:

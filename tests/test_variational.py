@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osbk
-from osbk.variational import ORBIT_DEDUP, MidpointPolygon, _params_close, ambient_gradients, orbit_midpoints
+from osbk.core import DEDUP_RADIUS, _params_close
+from osbk.variational import MidpointPolygon, ambient_gradients, orbit_midpoints
 
 from .conftest import random_symplectic
 from .oracles import fd_gradient, fd_jacobian, shoelace_area
@@ -225,7 +226,7 @@ class TestStartIndependence:
     def assert_covered(small, large, angular, shifts):
         assert small.orbits
         for o in small.orbits:
-            assert any(_params_close(o.params, p.params, angular, ORBIT_DEDUP, shifts) for p in large.orbits)
+            assert any(_params_close(o.params, p.params, angular, DEDUP_RADIUS, shifts) for p in large.orbits)
 
     @pytest.mark.parametrize("spec_name, k", [("circle_spec", 8), ("torus_spec", 8)])
     def test_periodic(self, request, spec_name, k):
