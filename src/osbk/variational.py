@@ -14,6 +14,10 @@ Everything here is deterministic given the seed: start i draws its point
 from the counter-derived generator ``task_rng(seed, i)``, and every search
 runs all starts in lockstep on stacked arrays, with per-start step sizes,
 damping and masks, so a start's path does not depend on the other starts.
+The gradient ascent's Armijo backtracking evaluates one ladder of halvings of
+every pending start's step per round, in one objective call; halving is exact
+and objective rows do not depend on their stack, so it accepts the same steps
+as backtracking one halving at a time.
 """
 
 from __future__ import annotations
@@ -340,6 +344,27 @@ def _canonical_shift(U: np.ndarray) -> np.ndarray:
     return min(shifted, key=lambda C: tuple(np.round(C.ravel(), 9)))
 
 
+def _objective(spec: ManifoldSpec, n: int, kind: str, U: np.ndarray) -> np.ndarray:
+    """Generating-function value of each parameter polygon of a stack (S, n, m)."""
+    gen_fun = gen_fun_periodic if kind == "periodic" else gen_fun_boundary
+    return gen_fun(spec.embed(U.reshape(-1, spec.param_dim)).reshape(U.shape[0], n, spec.ambient_dim))
+
+
+def _is_flat(spec: ManifoldSpec, n: int, kind: str, starts: int, seed: int) -> bool:
+    """Whether the objective is numerically constant on a seeded sample of M^n."""
+    lo, hi = spec.box
+    probe = task_rng(seed, 1 << 62).uniform(lo, hi, (min(max(starts, 8), 64), n, spec.param_dim))
+    vals = _objective(spec, n, kind, probe)
+    return float(np.max(vals) - np.min(vals)) <= 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+
+
+# Halvings of every pending start's step tried in one objective call per
+# backtracking round. Any value accepts the same steps; it only trades objective
+# calls against rungs evaluated past the accepted one (4 to 12 timed alike on
+# the benchmark's orbit searches, 16 slower on the torus).
+_LADDER_RUNGS = 8
+
+
 def _search_core(
     spec: ManifoldSpec,
     n: int,
@@ -348,20 +373,24 @@ def _search_core(
     seed: int,
     sign: float,
     cyclic_dedup: bool,
-) -> tuple[list[tuple[np.ndarray, float, float]], bool, int]:
+) -> tuple[list[tuple[np.ndarray, float, float]], int]:
     """Shared ascent+Newton driver over all starts in lockstep.
 
     Every start keeps its own step size and its own place in the ascent and
     Newton phases; one pass evaluates all starts still in a phase as one
-    stack. Returns (converged (params, value, gradnorm), flat, n_converged).
+    stack. A backtracking round tries a ladder of ``_LADDER_RUNGS`` halvings
+    of every pending start's step in one objective call, and each start takes
+    its first rung that passes the Armijo test. Halving is exact and every
+    objective row is independent of its stack, so the accepted steps are
+    those of one-halving-per-pass backtracking, bit for bit. Returns
+    (converged (params, value, gradnorm), n_converged).
     """
     m, dim = spec.param_dim, spec.ambient_dim
     lo, hi = spec.box
     angular = spec.params_are_angles
-    gen_fun = gen_fun_periodic if kind == "periodic" else gen_fun_boundary
 
     def objective(U: np.ndarray) -> np.ndarray:
-        return gen_fun(spec.embed(U.reshape(-1, m)).reshape(U.shape[0], n, dim))
+        return _objective(spec, n, kind, U)
 
     def gradient(U: np.ndarray) -> np.ndarray:
         flat = U.reshape(-1, m)
@@ -377,16 +406,11 @@ def _search_core(
         # angles wrap; graph parameters that leave the box have run away
         return (not angular) & ((np.min(U, axis=(1, 2)) < lo) | (np.max(U, axis=(1, 2)) > hi))
 
-    # flat-objective detection on the raw start sample
-    probe_vals = objective(task_rng(seed, 1 << 62).uniform(lo, hi, (min(max(starts, 8), 64), n, m)))
-    spread = float(np.max(probe_vals) - np.min(probe_vals))
-    if spread <= 1e-12 * max(1.0, float(np.max(np.abs(probe_vals)))):
-        return [], True, 0
-
     U = np.array([task_rng(seed, i).uniform(lo, hi, (n, m)) for i in range(starts)]).reshape(starts, n, m)
     f, alpha, step = objective(U), np.full(starts, 0.5), np.zeros(starts)
     alive, climbing = np.ones(starts, dtype=bool), np.ones(starts, dtype=bool)
     G, gn = np.zeros_like(U), np.zeros(starts)
+    rungs = 0.5 ** np.arange(_LADDER_RUNGS)
     # gradient ascent with per-start Armijo backtracking
     for _ in range(400):
         c = np.flatnonzero(climbing)
@@ -400,13 +424,16 @@ def _search_core(
         climbing[:] = False  # until a step is accepted
         while pending.any():
             p = np.flatnonzero(pending)
-            U2 = _wrap_params(U[p] + (sign * step[p])[:, None, None] * G[p], angular)
-            f2 = objective(U2)
-            ok = sign * (f2 - f[p]) >= 1e-4 * step[p] * gn[p] * gn[p]
-            won = p[ok]
-            U[won], f[won], alpha[won] = U2[ok], f2[ok], np.minimum(step[won] * 2.0, 4.0)
+            trial = step[p, None] * rungs  # (P, R): rung k is the step k sequential halvings reach
+            U2 = _wrap_params(U[p, None] + (sign * trial)[..., None, None] * G[p, None], angular)
+            f2 = objective(U2.reshape(-1, n, m)).reshape(trial.shape)
+            ok = (sign * (f2 - f[p, None]) >= 1e-4 * trial * gn[p, None] * gn[p, None]) & (trial > 1e-14)
+            hit = ok.any(axis=1)
+            first = np.argmax(ok[hit], axis=1)
+            won = p[hit]
+            U[won], f[won], alpha[won] = U2[hit, first], f2[hit, first], np.minimum(trial[hit, first] * 2.0, 4.0)
             climbing[won], pending[won] = True, False
-            step[p[~ok]] *= 0.5
+            step[p[~hit]] *= 0.5**_LADDER_RUNGS
             pending &= step > 1e-14
         alive &= ~(climbing & left_box(U))
         climbing &= alive
@@ -432,7 +459,7 @@ def _search_core(
     W = _wrap_params(U[idx[ok]], angular)
     results = [(_canonical_shift(w) if cyclic_dedup else w, float(fi), float(g)) for w, fi, g in zip(W, f[ok], gn[ok])]
     results.sort(key=lambda r: (-sign * r[1], tuple(np.round(r[0].ravel(), 9))))
-    return _distinct(results, [r[0] for r in results], angular, cyclic_dedup), False, len(results)
+    return _distinct(results, [r[0] for r in results], angular, cyclic_dedup), len(results)
 
 
 def _orbit_residual(spec: ManifoldSpec, U: np.ndarray, vertices_chain: np.ndarray) -> float:
@@ -447,10 +474,10 @@ def find_periodic_orbit(
         raise ValueError("periodic search requires odd n >= 3; use search_even_periodic for even n")
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
-    sign = 1.0 if mode == "max" else -1.0
-    kept, flat, n_conv = _search_core(spec, n, "periodic", starts, seed, sign, cyclic_dedup=True)
-    if flat:
+    if _is_flat(spec, n, "periodic", starts, seed):
         return SearchResult((), None, False, True, "flat objective: generating function is constant on M^n")
+    sign = 1.0 if mode == "max" else -1.0
+    kept, n_conv = _search_core(spec, n, "periodic", starts, seed, sign, cyclic_dedup=True)
     found: list[FoundOrbit] = []
     for U, f, gn in kept:
         orb = reconstruct_periodic(spec.embed(U))
@@ -488,16 +515,16 @@ def find_boundary_orbit(
     T = normalize_lagrangian_pair(L1, L2)
     combined = T.compose(spec.transform) if spec.transform else T
     nspec = ManifoldSpec(spec.table, combined)
+    if _is_flat(nspec, n, "boundary", starts, seed):
+        return BoundarySearchResult((), None, None, False, True, "flat objective: G is constant on M^n", T)
     Tinv = T.inverse()
 
     modes = ("max", "min") if mode == "both" else (mode,)
     all_found: list[tuple[FoundOrbit, float]] = []
-    flat = False
     n_conv = 0
     for mname in modes:
         sign = 1.0 if mname == "max" else -1.0
-        kept, is_flat, conv = _search_core(nspec, n, "boundary", starts, seed, sign, cyclic_dedup=False)
-        flat = flat or is_flat
+        kept, conv = _search_core(nspec, n, "boundary", starts, seed, sign, cyclic_dedup=False)
         n_conv += conv
         for U, f, gn in kept:
             orb = reconstruct_boundary(nspec.embed(U))
@@ -506,8 +533,6 @@ def find_boundary_orbit(
                 continue
             orb = make_orbit(orb.vertices, "boundary", max_residual=res)
             all_found.append((FoundOrbit(orb, U, f, gn, vertices_ambient=Tinv(orb.vertices)), sign))
-    if flat:
-        return BoundarySearchResult((), None, None, False, True, "flat objective: G is constant on M^n", T)
     # dedup across the two mode runs
     uniq = _distinct(all_found, [fo.params for fo, _ in all_found], nspec.params_are_angles, shifts=False)
     if not uniq:

@@ -41,6 +41,12 @@ def ft_spec(ft_graph):
 
 
 @pytest.fixture(scope="session")
+def quartic_spec():
+    # the benchmark's quartic table: q1^2 q2 + q1 q2^2 + 0.1 q1^4 on the box (-3, 3)
+    return osbk.spec_for(osbk.GeneratingGraph(osbk.Poly(2, {(2, 1): 1.0, (1, 2): 1.0, (4, 0): 0.1}), (-3.0, 3.0)))
+
+
+@pytest.fixture(scope="session")
 def ell2():
     return osbk.SymplecticEllipsoid((1.0, 2.0))
 

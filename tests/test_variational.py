@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osbk
+from osbk import variational
 from osbk.core import DEDUP_RADIUS, _params_close
 from osbk.variational import MidpointPolygon, ambient_gradients, orbit_midpoints
 
@@ -218,6 +221,87 @@ class TestStackedEvaluation:
         )
 
 
+@pytest.fixture(scope="module")
+def moved_torus():
+    return osbk.spec_for(osbk.sphere_torus(), transform=random_symplectic(2, np.random.default_rng(7)))
+
+
+class TestRowIndependence:
+    """Each row of a stacked evaluation equals its one-point call bit for bit,
+    whatever the stack; the search's step ladder relies on it."""
+
+    @pytest.mark.parametrize("spec_name", ["circle_spec", "cheb_spec", "torus_spec", "ft_spec", "quartic_spec"])
+    def test_embed_and_tangent_rows(self, request, spec_name):
+        spec = request.getfixturevalue(spec_name)
+        u = np.random.default_rng(41).uniform(*spec.box, (500, spec.param_dim))
+        for fn in (spec.embed, spec.tangent_basis):
+            rows = fn(u)
+            assert np.array_equal(rows, [fn(x) for x in u])
+            assert np.array_equal(rows, np.concatenate([fn(u[i : i + 7]) for i in range(0, 500, 7)]))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_polygon_rows(self, d):
+        P = np.random.default_rng(43).uniform(-2, 2, (166, 3, 2 * d))
+        for fn in (
+            osbk.gen_fun_periodic,
+            osbk.gen_fun_boundary,
+            lambda Q: ambient_gradients(Q, "periodic"),
+            lambda Q: ambient_gradients(Q, "boundary"),
+        ):
+            assert np.array_equal(fn(P), [fn(Q) for Q in P])
+
+
+class TestStepLadder:
+    """A backtracking round tries ``_LADDER_RUNGS`` halvings in one objective call.
+    With one rung it is one-halving-per-pass backtracking; both accept the same steps."""
+
+    @staticmethod
+    def outcome(res):
+        return res.message, res.failed, res.flat_objective, [o.as_dict() for o in res.orbits]
+
+    def assert_matches_one_rung(self, monkeypatch, search):
+        ladder = self.outcome(search())
+        monkeypatch.setattr(variational, "_LADDER_RUNGS", 1)
+        assert self.outcome(search()) == ladder
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "spec_name, n", [("torus_spec", 3), ("cheb_spec", 5), ("quartic_spec", 3), ("moved_torus", 3)]
+    )
+    def test_periodic(self, request, monkeypatch, spec_name, n, seed):
+        spec = request.getfixturevalue(spec_name)
+        self.assert_matches_one_rung(monkeypatch, lambda: osbk.find_periodic_orbit(spec, n, starts=16, seed=seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("spec_name, n", [("circle_spec", 2), ("moved_torus", 2)])
+    def test_shoot(self, request, monkeypatch, spec_name, n, seed):
+        spec = request.getfixturevalue(spec_name)
+        L1, L2 = osbk.coordinate_lagrangian_pair(spec.ambient_dim)
+        self.assert_matches_one_rung(
+            monkeypatch, lambda: osbk.find_boundary_orbit(spec, L1, L2, n, starts=16, seed=seed, mode="both")
+        )
+
+    @pytest.mark.parametrize("scale, depth", [(1e-9, 46), (0.99999e-4, 46), (1.0001e-4, 14)])
+    def test_backtracking_past_the_ladder(self, torus_spec, monkeypatch, scale, depth):
+        # Scaling F by s < 1 leaves the search's gradients alone, so the Armijo test
+        # sees a slope 1/s too steep. At 1e-9 no step passes and every start halves
+        # 0.5 down past the 1e-14 floor (46 trials) and stops; just below 1e-4 only
+        # rounding noise passes tiny steps, some of them beside the floor; just above
+        # it steps pass after many halvings. `depth` is the longest run of objective
+        # calls between two gradient passes with one rung, one halving per call.
+        events, rungs = [], variational._LADDER_RUNGS
+        gen_fun, grads = variational.gen_fun_periodic, variational.ambient_gradients
+        monkeypatch.setattr(variational, "gen_fun_periodic", lambda Q: events.append("f") or scale * gen_fun(Q))
+        monkeypatch.setattr(variational, "ambient_gradients", lambda Q, kind: events.append("G") or grads(Q, kind))
+        search = lambda: self.outcome(osbk.find_periodic_orbit(torus_spec, 3, starts=16, seed=0))
+        ladder = search()
+        monkeypatch.setattr(variational, "_LADDER_RUNGS", 1)
+        events.clear()
+        assert search() == ladder
+        runs = [len(list(group)) for key, group in itertools.groupby(events) if key == "f"]
+        assert max(runs) == depth > rungs
+
+
 class TestStartIndependence:
     """Start i draws from task_rng(seed, i) whatever the start count, so a k-start
     search finds nothing that the 2k-start search at the same seed misses."""
@@ -328,6 +412,14 @@ class TestBoundarySearch:
         for endpoint, L in ((Z[0], L1), (Z[-1], L2)):
             coef, *_ = np.linalg.lstsq(L.basis.T, endpoint - L.base, rcond=None)
             assert np.linalg.norm(L.basis.T @ coef - (endpoint - L.base)) < 1e-7
+
+    @pytest.mark.parametrize("mode", ["max", "both"])
+    def test_flat_objective_detected(self, lagrangian_plane_curve, mode):
+        L1, L2 = osbk.coordinate_lagrangian_pair(4)
+        res = osbk.find_boundary_orbit(lagrangian_plane_curve, L1, L2, 2, starts=8, seed=0, mode=mode)
+        assert res.flat_objective and not res.failed
+        assert res.orbits == () and res.best_max is None and res.best_min is None
+        assert res.message == "flat objective: G is constant on M^n"
 
     def test_non_transverse_pair_rejected(self, circle_spec):
         L1, _ = osbk.coordinate_lagrangian_pair(2)
