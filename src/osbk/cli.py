@@ -23,7 +23,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Any, Callable, Iterable
 
@@ -332,12 +332,10 @@ def _run_step(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict,
     cands = correspondence.step(spec, z, branch=p["branch"], seed=seed, starts=p["starts"])
     within = [c for c in cands if c.residual <= tols["residual"]]
     result = {
-        "command": "step",
         "source": [float(v) for v in z],
         "candidates": [c.as_dict() for c in within],
         "count": len(within),
         "rejected": len(cands) - len(within),
-        "seed": seed,
     }
     if isinstance(cands, correspondence.NewtonPartners):
         # multi-start Newton can miss partners: count is a lower bound
@@ -350,17 +348,20 @@ def _run_step(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict,
 def _run_iterate(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict, Series]:
     pts = correspondence.iterate(spec, p["z"], p["steps"], branch=p["branch"])
     result = {
-        "command": "iterate",
         "steps": int(pts.shape[0] - 1),
         "start": [float(v) for v in pts[0]],
         "end": [float(v) for v in pts[-1]],
-        "seed": seed,
     }
     return result, {"orbit": _orbit_series(pts)}
 
 
-def _found_orbit_dicts(orbits) -> list[dict]:
-    return [o.as_dict() for o in orbits]
+def _within(orbits, tols: dict, required: bool = False) -> list:
+    """The found orbits whose residual is within the ``residual`` tolerance; with
+    ``required``, a search failure when none is."""
+    kept = [o for o in orbits if o.orbit.max_residual <= tols["residual"]]
+    if required and not kept:
+        raise SearchFailedError("no orbit within the residual tolerance")
+    return kept
 
 
 def _run_periodic(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict, Series]:
@@ -369,35 +370,30 @@ def _run_periodic(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[d
         raise FlatObjectiveError(res.message)
     if res.failed:
         raise SearchFailedError(res.message)
-    kept = [o for o in res.orbits if o.orbit.max_residual <= tols["residual"]]
-    if not kept:
-        raise SearchFailedError("no orbit within the residual tolerance")
+    kept = _within(res.orbits, tols, required=True)
     result = {
-        "command": "periodic",
         "n": p["n"],
         "mode": p["mode"],
-        "orbits": _found_orbit_dicts(kept),
+        "orbits": [o.as_dict() for o in kept],
         "best": kept[0].as_dict(),
         "message": res.message,
-        "seed": seed,
     }
     return result, {"orbit": _orbit_series(kept[0].orbit.vertices)}
 
 
 def _run_even_search(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict, Series]:
     res = variational.search_even_periodic(spec, p["n"], starts=p["starts"], seed=seed)
+    nondegenerate = _within(res.nondegenerate, tols)
     result = {
-        "command": "even-search",
         "n": p["n"],
-        "nondegenerate_found": len(res.nondegenerate),
-        "orbits": _found_orbit_dicts(res.orbits),
+        "nondegenerate_found": len(nondegenerate),
+        "orbits": [o.as_dict() for o in _within(res.orbits, tols)],
         "converged": res.converged,
         "message": res.message,
-        "seed": seed,
     }
     series: Series = {}
-    if res.nondegenerate:
-        series["orbit"] = _orbit_series(res.nondegenerate[0].orbit.vertices)
+    if nondegenerate:
+        series["orbit"] = _orbit_series(nondegenerate[0].orbit.vertices)
     return result, series
 
 
@@ -421,22 +417,23 @@ def _run_shoot(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict
         raise FlatObjectiveError(res.message)
     if res.failed:
         raise SearchFailedError(res.message)
+    kept = _within(res.orbits, tols, required=True)  # sorted by value, as res.orbits
+    best_max = kept[0] if res.best_max is not None else None
+    best_min = kept[-1] if res.best_min is not None else None
     result = {
-        "command": "shoot",
         "n": p["n"],
         "mode": p["mode"],
-        "orbits": _found_orbit_dicts(res.orbits),
-        "best_max": None if res.best_max is None else res.best_max.as_dict(),
-        "best_min": None if res.best_min is None else res.best_min.as_dict(),
+        "orbits": [o.as_dict() for o in kept],
+        "best_max": None if best_max is None else best_max.as_dict(),
+        "best_min": None if best_min is None else best_min.as_dict(),
         "message": res.message,
         "normalization": {
             "S": [[float(v) for v in row] for row in res.normalization.S],
             "b": [float(v) for v in res.normalization.b],
         },
-        "seed": seed,
     }
     series: Series = {}
-    for tag, orb in (("orbit_max", res.best_max), ("orbit_min", res.best_min)):
+    for tag, orb in (("orbit_max", best_max), ("orbit_min", best_min)):
         if orb is not None:
             verts = orb.vertices_ambient if orb.vertices_ambient is not None else orb.orbit.vertices
             series[tag] = _orbit_series(verts)
@@ -469,11 +466,9 @@ def _run_wall(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict,
                 entry["error"]["upper"] = e.upper
         probes_out.append(entry)
     result = {
-        "command": "wall",
         "samples": len(samples),
         "min_rank": min((s.rank for s in samples), default=0),
         "probes": probes_out,
-        "seed": seed,
     }
     series: Series = {"wall": (header, rows)}
     if mult_rows:
@@ -488,11 +483,7 @@ def _run_classify(spec: ManifoldSpec | None, p: dict, seed: int, tols: dict) -> 
         raise ConfigError("classify needs exactly four coefficients a,b,c,d")
     f = CubicForm2(*coeffs)
     rep = wall.classify_cubic_table(f, trials=p["trials"], seed=seed)
-    result = rep.as_dict()
-    result["command"] = "classify"
-    result["resultant"] = wall.cubic_resultant(f)
-    result["seed"] = seed
-    return result, {}
+    return {**rep.as_dict(), "resultant": wall.cubic_resultant(f)}, {}
 
 
 def _run_integrability(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict, Series]:
@@ -523,12 +514,10 @@ def _run_integrability(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tu
         rows = _indexed_rows(audit.chord_drift)
         extra = {"pairs": p["pairs"]}
     result = {
-        "command": "integrability",
         "kind": ints.kind,
         "brackets_max": bmax,
         "bracket_points": p["bracket_points"],
         "audit": audit.as_dict(),
-        "seed": seed,
         **extra,
     }
     names = [f"I_{i + 1}" for i in range(len(ints.evaluators))]
@@ -549,7 +538,6 @@ def _run_check(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict
     rl = check_condition_L(spec, samples=p["samples"])
     rll = check_condition_LL(spec, probes, samples=p["samples"])
     result: dict[str, Any] = {
-        "command": "check",
         "condition_L": {
             "holds": rl.holds,
             "samples": rl.samples,
@@ -568,19 +556,8 @@ def _run_check(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict
             "probes": [[float(v) for v in P] for P in probes],
             "samples": rll.samples,
         },
-        "seed": seed,
+        "convexity": asdict(symplectic_convexity_profile(spec)) if spec.is_curve else None,
     }
-    if spec.is_curve:
-        prof = symplectic_convexity_profile(spec)
-        result["convexity"] = {
-            "convex": prof.convex,
-            "min_value": prof.min_value,
-            "max_value": prof.max_value,
-            "argmin": prof.argmin,
-            "argmax": prof.argmax,
-        }
-    else:
-        result["convexity"] = None
     return result, {}
 
 
@@ -646,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
         out = top["out"]
         spec = _spec_from_top(args.cmd, top)
         result, series = _RUNNERS[args.cmd](spec, merged, top["seed"], top["tolerances"])
-        result["tolerances"] = top["tolerances"]
+        result.update(command=args.cmd, seed=top["seed"], tolerances=top["tolerances"])
         _emit(result, series, out)
         return 0
     except ConfigError as e:

@@ -17,6 +17,11 @@ for stacks of possibly singular linear systems, :func:`minimize_scalar`,
 Brent's bounded minimization, ported from scipy so that importing osbk does
 not import scipy, and the one rule by which solutions found more than once
 merge: parameter points within ``DEDUP_RADIUS`` of each other.
+
+Rows meet a fixed matrix by one rule, :func:`_rows`: a stack is one 2-D gemm
+and a lone row is a row of a two-row gemm, so every row of a stacked
+evaluation equals its one-point call bit for bit. The trig evaluators follow
+it, and every change of frame goes through :class:`AffineSymplectic`, which does.
 """
 
 from __future__ import annotations
@@ -84,6 +89,16 @@ def solve_stack(A: np.ndarray, b: np.ndarray, rel: float) -> tuple[np.ndarray, n
     for k in np.flatnonzero(singular):
         x[k] = np.linalg.lstsq(A[k], b[k], rcond=None)[0]
     return x, singular
+
+
+def _rows(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rows of x (..., k) as one 2-D stack for a product with a fixed matrix, and their count N.
+
+    The product's first N rows are x's. A lone row is doubled: BLAS sends a
+    one-row product through gemv, which rounds unlike a row of a gemm.
+    """
+    flat = x.reshape(-1, x.shape[-1])
+    return (flat.repeat(2, axis=0) if len(flat) == 1 else flat), len(flat)
 
 
 def _params_close(
@@ -318,12 +333,14 @@ class AffineSymplectic:
         return cls(np.eye(dim), np.zeros(dim), _checked=True)
 
     def __call__(self, z) -> np.ndarray:
-        """Image of one point (2d,) or of a stack of points (N, 2d)."""
-        return np.asarray(z, dtype=float) @ self.S.T + self.b
+        """Image of one point (2d,) or of a stack of points (..., 2d), each as if alone."""
+        return self.apply_vector(z) + self.b
 
     def apply_vector(self, v) -> np.ndarray:
-        """Push forward a tangent vector (linear part only)."""
-        return self.S @ np.asarray(v, dtype=float)
+        """Push forward one tangent vector (2d,) or a stack (..., 2d) by the linear part, each as if alone."""
+        v = np.asarray(v, dtype=float)
+        rows, n = _rows(v)
+        return (rows @ self.S.T)[:n].reshape(v.shape)
 
     def inverse(self) -> "AffineSymplectic":
         Sinv = np.linalg.solve(self.S, np.eye(self.S.shape[0]))

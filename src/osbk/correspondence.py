@@ -125,12 +125,9 @@ def _step_candidates(
     if not len(mids):
         return []
     # point reflection commutes with affine maps, so the ambient partner is
-    # still 2*mid - source after pushing everything through the transform.
-    # The midpoints map as a stack of (1, 2d) rows: a point's product then has
-    # the same bits alone and in a stack, which one (N, 2d) product has not.
+    # still 2*mid - source after pushing everything through the transform
     if transform is not None:
-        z, rows = transform(z), rows @ transform.S.T
-        mids = (mids[:, None, :] @ transform.S.T)[:, 0] + transform.b
+        z, mids, rows = transform(z), transform(mids), transform.apply_vector(rows)
     partners = 2.0 * mids - z
     chords = partners - z
     scale = np.maximum(max(1.0, float(np.max(np.abs(z)))), np.max(np.abs(mids), axis=-1))

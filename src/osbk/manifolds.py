@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import poly as _poly
-from .core import AffineLagrangian, AffineSymplectic, GEOMETRIC_TOL, NOISE_ULPS, interleave, minimize_scalar, omega_pairwise
-from .core import TWO_PI
+from .core import AffineLagrangian, AffineSymplectic, GEOMETRIC_TOL, NOISE_ULPS, _rows, interleave, minimize_scalar
+from .core import TWO_PI, omega_pairwise
 from .errors import ConfigError, ImmersionError
 
 MIN_SINGULAR_VALUE = 1e-8  # below this a tangent space counts as rank deficient
@@ -138,18 +138,23 @@ class TrigImmersion:
             self._tables[order] = table
         return table
 
-    def _trig(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """The checked parameter u and the (cos, sin) of all its phases, shape (..., 2K)."""
+    def _trig(self, u) -> tuple[tuple[int, ...], int, np.ndarray]:
+        """The stack shape of the checked parameter u, its point count N, and the (cos, sin) of its phases.
+
+        One ``core._rows`` stack per call: (cos, sin) is (max(N, 2), 2K), and the
+        first N rows of each product with an order table are u's.
+        """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.ndim > 2 or u.shape[-1] != self.m:
             raise ValueError(f"parameter must have shape ({self.m},) or (N, {self.m}), got {u.shape}")
-        phase = u @ self._freq.T
-        return u, np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
+        rows, n = _rows(u)
+        phase = rows @ self._freq.T
+        return u.shape[:-1], n, np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
 
     def _partials(self, u, order: int) -> np.ndarray:
-        u, cs = self._trig(u)
-        out = cs @ self._order_table(order)
-        return out.reshape(u.shape[:-1] + (self.ambient_dim,) + (self.m,) * order)
+        shape, n, cs = self._trig(u)
+        out = (cs @ self._order_table(order))[:n]
+        return out.reshape(shape + (self.ambient_dim,) + (self.m,) * order)
 
     def value(self, u) -> np.ndarray:
         return self._partials(u, 0)
@@ -165,13 +170,13 @@ class TrigImmersion:
     def curve_jet(self, ts, orders: Sequence[int]) -> tuple[np.ndarray, ...]:
         """The derivatives of the given orders at many parameters, each of shape (N, 2d).
 
-        All orders share one cos/sin evaluation; each equals ``curve_batch(ts, k)``
-        bit for bit.
+        All orders share one cos/sin evaluation. Each row equals ``deriv(t, k)``
+        and the rows of ``curve_batch`` on any other stack, bit for bit.
         """
         if self.m != 1:
             raise ValueError("curve_jet requires a curve (m = 1)")
-        _, cs = self._trig(np.atleast_1d(np.asarray(ts, dtype=float))[:, None])
-        return tuple(cs @ self._order_table(k) for k in orders)
+        _, n, cs = self._trig(np.asarray(ts, dtype=float)[..., None])
+        return tuple((cs @ self._order_table(k))[:n] for k in orders)
 
     def curve_batch(self, ts, order: int = 0) -> np.ndarray:
         """Evaluate the order-th derivative at many parameters; shape (N, 2d)."""
@@ -503,26 +508,26 @@ class ManifoldSpec:
         z = self.table.embed(u)
         return self.transform(z) if self.transform else z
 
-    def _jacobian(self, u) -> np.ndarray:
+    def _tangent_rows(self, u) -> np.ndarray:
         trig = self.as_trig
         if trig is not None:
-            return trig.jacobian(u)
-        Jc = np.swapaxes(self.table.tangent_rows(u), -1, -2)
-        return self.transform.S @ Jc if self.transform else Jc
+            return np.swapaxes(trig.jacobian(u), -1, -2)
+        rows = self.table.tangent_rows(u)
+        return self.transform.apply_vector(rows) if self.transform else rows
 
     def tangent_basis(self, u) -> np.ndarray:
         """Rows are the parameter-derivative vectors at u, shape (m, 2d); checked for full rank."""
-        Jc = self._jacobian(u)
-        _require_full_rank(Jc, u)
-        return np.swapaxes(Jc, -1, -2)
+        rows = self._tangent_rows(u)
+        _require_full_rank(np.swapaxes(rows, -1, -2), u)
+        return rows
 
     def tangent_frame(self, u) -> tuple[np.ndarray, np.ndarray]:
         """The rows of :meth:`tangent_basis` without its rank check, and where they have full rank.
 
         Returns rows (..., m, 2d) and a boolean mask over the parameters.
         """
-        Jc = self._jacobian(u)
-        return np.swapaxes(Jc, -1, -2), _min_singular(Jc) > MIN_SINGULAR_VALUE
+        rows = self._tangent_rows(u)
+        return rows, _min_singular(np.swapaxes(rows, -1, -2)) > MIN_SINGULAR_VALUE
 
     def embed_hessian(self, u) -> np.ndarray:
         """Second parameter derivatives, shape (2d, m, m), exact."""
@@ -533,7 +538,7 @@ class ManifoldSpec:
         out = np.zeros(T.shape[:-3] + (self.ambient_dim,) + T.shape[-2:])
         out[..., 1::2, :, :] = T  # x-parts are linear in q, y-parts carry grad F
         if self.transform:
-            out = np.einsum("ij,...jab->...iab", self.transform.S, out)
+            out = np.moveaxis(self.transform.apply_vector(np.moveaxis(out, -3, -1)), -1, -3)
         return out
 
 

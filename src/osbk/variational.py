@@ -29,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._pool import task_rng
-from .core import AffineLagrangian, AffineSymplectic, _distinct, normalize_lagrangian_pair, omega_pairwise, solve_stack
+from .core import AffineLagrangian, AffineSymplectic, _distinct, interleave, normalize_lagrangian_pair, omega_pairwise
+from .core import solve_stack
 from .errors import ClosureError
 from .manifolds import ManifoldSpec, TWO_PI
 from .correspondence import orthogonality_residual
@@ -234,12 +235,13 @@ def reconstruct_boundary(Q) -> OrbitPolyline:
     x_i = 2 sum_{j>=i} (-1)^{j-i} q_j with x_{n+1} = 0, and
     y_i = 2 sum_{j<i} (-1)^{i-j+1} q_j' with y_1 = 0.
     """
-    P = _points_of(Q)
+    return make_orbit(_boundary_chain(_points_of(Q)), "boundary")
+
+
+def _boundary_chain(P: np.ndarray) -> np.ndarray:
+    """The vertices (n+1, 2d) of the boundary chain with midpoints P (n, 2d)."""
     Cx, Cy = _chain_coefficients(P.shape[0], "boundary")
-    Z = np.empty((P.shape[0] + 1, P.shape[1]))
-    Z[:, 0::2] = Cx @ P[:, 0::2]
-    Z[:, 1::2] = Cy @ P[:, 1::2]
-    return make_orbit(Z, "boundary")
+    return interleave(Cx @ P[:, 0::2], Cy @ P[:, 1::2])
 
 
 # -- gradients and Hessians ------------------------------------------------------
@@ -372,7 +374,6 @@ def _search_core(
     starts: int,
     seed: int,
     sign: float,
-    cyclic_dedup: bool,
 ) -> tuple[list[tuple[np.ndarray, float, float]], int]:
     """Shared ascent+Newton driver over all starts in lockstep.
 
@@ -386,6 +387,7 @@ def _search_core(
     (converged (params, value, gradnorm), n_converged).
     """
     m, dim = spec.param_dim, spec.ambient_dim
+    cyclic = kind == "periodic"  # cyclic shifts are a symmetry of F only; boundary chains keep row order
     lo, hi = spec.box
     angular = spec.params_are_angles
 
@@ -454,16 +456,20 @@ def _search_core(
     idx = np.flatnonzero(alive)
     gn, f = norms(gradient(U[idx])), objective(U[idx])
     ok = gn <= 1e-7 * np.maximum(1.0, np.abs(f))
-    # deterministic merge: sort then dedup. Cyclic shifts are a symmetry of the
-    # periodic generating function only; boundary chains must keep row order.
+    # deterministic merge: sort then dedup
     W = _wrap_params(U[idx[ok]], angular)
-    results = [(_canonical_shift(w) if cyclic_dedup else w, float(fi), float(g)) for w, fi, g in zip(W, f[ok], gn[ok])]
+    results = [(_canonical_shift(w) if cyclic else w, float(fi), float(g)) for w, fi, g in zip(W, f[ok], gn[ok])]
     results.sort(key=lambda r: (-sign * r[1], tuple(np.round(r[0].ravel(), 9))))
-    return _distinct(results, [r[0] for r in results], angular, cyclic_dedup), len(results)
+    return _distinct(results, [r[0] for r in results], angular, cyclic), len(results)
 
 
-def _orbit_residual(spec: ManifoldSpec, U: np.ndarray, vertices_chain: np.ndarray) -> float:
-    return orthogonality_residual(np.diff(vertices_chain, axis=0), spec.tangent_basis(U))
+def _verified_orbit(spec: ManifoldSpec, U: np.ndarray, chain: np.ndarray, kind: str) -> OrbitPolyline | None:
+    """The orbit with closed vertex chain (n+1, 2d) and midpoint params U (n, m), or None when the
+    chain's normalized orthogonality residual exceeds ``ORBIT_RESIDUAL_TOL``."""
+    res = orthogonality_residual(np.diff(chain, axis=0), spec.tangent_basis(U))
+    if res > ORBIT_RESIDUAL_TOL:
+        return None
+    return make_orbit(chain[:-1] if kind == "periodic" else chain, kind, max_residual=res)
 
 
 def find_periodic_orbit(
@@ -477,16 +483,14 @@ def find_periodic_orbit(
     if _is_flat(spec, n, "periodic", starts, seed):
         return SearchResult((), None, False, True, "flat objective: generating function is constant on M^n")
     sign = 1.0 if mode == "max" else -1.0
-    kept, n_conv = _search_core(spec, n, "periodic", starts, seed, sign, cyclic_dedup=True)
+    kept, n_conv = _search_core(spec, n, "periodic", starts, seed, sign)
+    C, _ = _chain_coefficients(n, "periodic")
     found: list[FoundOrbit] = []
     for U, f, gn in kept:
-        orb = reconstruct_periodic(spec.embed(U))
-        chain = np.vstack([orb.vertices, orb.vertices[0]])
-        res = _orbit_residual(spec, U, chain)
-        if res > ORBIT_RESIDUAL_TOL:
-            continue
-        orb = make_orbit(orb.vertices, "periodic", max_residual=res)
-        found.append(FoundOrbit(orb, U, f, gn))
+        Z = C[:-1] @ spec.embed(U)  # the vertices reconstruct_periodic gives for odd n
+        orb = _verified_orbit(spec, U, np.vstack([Z, Z[0]]), "periodic")
+        if orb is not None:
+            found.append(FoundOrbit(orb, U, f, gn))
     if not found:
         return SearchResult((), None, True, False, f"search failed: {n_conv} of {starts} starts converged, none verified")
     found.sort(key=lambda o: -sign * o.value)
@@ -524,15 +528,12 @@ def find_boundary_orbit(
     n_conv = 0
     for mname in modes:
         sign = 1.0 if mname == "max" else -1.0
-        kept, conv = _search_core(nspec, n, "boundary", starts, seed, sign, cyclic_dedup=False)
+        kept, conv = _search_core(nspec, n, "boundary", starts, seed, sign)
         n_conv += conv
         for U, f, gn in kept:
-            orb = reconstruct_boundary(nspec.embed(U))
-            res = _orbit_residual(nspec, U, orb.vertices)
-            if res > ORBIT_RESIDUAL_TOL:
-                continue
-            orb = make_orbit(orb.vertices, "boundary", max_residual=res)
-            all_found.append((FoundOrbit(orb, U, f, gn, vertices_ambient=Tinv(orb.vertices)), sign))
+            orb = _verified_orbit(nspec, U, _boundary_chain(nspec.embed(U)), "boundary")
+            if orb is not None:
+                all_found.append((FoundOrbit(orb, U, f, gn, vertices_ambient=Tinv(orb.vertices)), sign))
     # dedup across the two mode runs
     uniq = _distinct(all_found, [fo.params for fo, _ in all_found], nspec.params_are_angles, shifts=False)
     if not uniq:
@@ -656,12 +657,10 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
     results.sort(key=lambda r: tuple(np.round(_canonical_shift(r[0]).ravel(), 9)))
     found: list[FoundOrbit] = []
     for U, z1 in _distinct(results, [U for U, _ in results], angular, shifts=True):
-        Z = C @ spec.embed(U) + np.outer(sigma, z1)
-        res = _orbit_residual(spec, U, Z)
-        if res > ORBIT_RESIDUAL_TOL:  # small raw residuals beside a nearly vanishing tangent vector
-            continue
-        orb = make_orbit(Z[:-1], "periodic", max_residual=res)
-        found.append(FoundOrbit(orb, U, orb.area, 0.0))
+        # a converged start can still fail: small raw residuals beside a nearly vanishing tangent vector
+        orb = _verified_orbit(spec, U, C @ spec.embed(U) + np.outer(sigma, z1), "periodic")
+        if orb is not None:
+            found.append(FoundOrbit(orb, U, orb.area, 0.0))
     nondeg = tuple(f for f in found if not f.orbit.degenerate)
     return EvenSearchResult(
         tuple(found), nondeg, len(results),

@@ -393,6 +393,37 @@ class TestShoot:
         assert rc == 3
 
 
+class TestResidualTolerance:
+    """The `residual` tolerance filters the orbits that periodic, shoot and even-search report."""
+
+    TIGHT = ["--tolerances", json.dumps({"residual": 1e-30})]
+
+    @pytest.mark.parametrize("command, n", [("periodic", "3"), ("shoot", "1")])
+    def test_no_orbit_within_is_a_search_failure(self, capsys, command, n):
+        argv = [command, "--manifold", man(CIRCLE), "--n", n, "--starts", "8"]
+        assert run(argv, capsys)[0] == 0
+        rc, _, err = run(argv + self.TIGHT, capsys)
+        assert rc == 2
+        assert json.loads(err)["error"] == {"code": "search-failed", "message": "no orbit within the residual tolerance"}
+
+    def test_even_search_reports_no_orbit(self, capsys):
+        argv = ["even-search", "--manifold", man(CIRCLE), "--n", "4", "--starts", "24"]
+        assert json.loads(run(argv, capsys)[1])["nondegenerate_found"] > 0
+        rc, out, _ = run(argv + self.TIGHT, capsys)
+        d = json.loads(out)
+        assert rc == 0
+        assert (d["orbits"], d["nondegenerate_found"]) == ([], 0)
+
+    def test_shoot_best_orbits_come_from_the_kept_ones(self, capsys):
+        argv = ["shoot", "--manifold", man(CIRCLE), "--n", "2", "--starts", "8"]
+        full = json.loads(run(argv, capsys)[1])["orbits"]
+        tol = sorted(o["max_residual"] for o in full)[1]
+        d = json.loads(run(argv + ["--tolerances", json.dumps({"residual": tol})], capsys)[1])
+        assert d["orbits"] == [o for o in full if o["max_residual"] <= tol]
+        assert 0 < len(d["orbits"]) < len(full)
+        assert (d["best_max"], d["best_min"]) == (d["orbits"][0], d["orbits"][-1])
+
+
 class TestWall:
     def test_csv_layout_and_probe_counts(self, tmp_path):
         out = tmp_path / "r"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import osbk
 from osbk._pool import task_rng, task_uniform_blocks
-from osbk.core import _distinct, _params_close, minimize_scalar, omega_matrix, omega_pairwise, scale_tol, solve_stack
+from osbk.core import _distinct, _params_close, _rows, minimize_scalar, omega_matrix, omega_pairwise, scale_tol, solve_stack
 
 from .conftest import random_symplectic
 
@@ -177,6 +177,36 @@ class TestAffineSymplectic:
         v = rng.normal(size=2 * d)
         lhs = osbk.omega(T.apply_vector(u), T.apply_vector(v))
         assert lhs == pytest.approx(osbk.omega(u, v), rel=1e-8, abs=1e-8)
+
+
+class TestRowRule:
+    """`_rows` computes a lone row as a row of a two-row gemm, so that every row of
+    a stacked evaluation equals its one-point call. That rests on BLAS computing
+    each row of a gemm alike whatever the row count. This canary checks it on the
+    fixed matrices osbk multiplies rows by: the phase and order tables of the
+    reference trig tables, plain and under a frame, and frames of R^2, R^4, R^6."""
+
+    @staticmethod
+    def fixed_matrices() -> list[np.ndarray]:
+        rng = np.random.default_rng(53)
+        mats = []
+        for trig in (osbk.circle(), osbk.chebyshev_curve(), osbk.sphere_torus(),
+                     osbk.SymplecticEllipsoid((1.0, 2.0)).to_immersion()):
+            for T in (trig, trig.transformed(random_symplectic(trig.ambient_dim // 2, rng))):
+                mats += [T._freq.T] + [T._order_table(k) for k in range(4)]
+        return mats + [random_symplectic(d, rng).S.T for d in (1, 2, 3)]
+
+    def test_gemm_rows_do_not_depend_on_the_row_count(self):
+        rng = np.random.default_rng(59)
+        differ = []
+        for i, M in enumerate(self.fixed_matrices()):
+            X = rng.uniform(-1.0, 1.0, (500, M.shape[0]))
+            full = X @ M
+            rows, n = _rows(X[:1])
+            if not np.array_equal((rows @ M)[:n], full[:1]):
+                differ.append((i, 1))
+            differ += [(i, N) for N in range(2, 41) if not np.array_equal(X[:N] @ M, full[:N])]
+        assert differ == []
 
 
 class TestNormalizeLagrangianPair:

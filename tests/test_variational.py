@@ -228,27 +228,73 @@ def moved_torus():
 
 class TestRowIndependence:
     """Each row of a stacked evaluation equals its one-point call bit for bit,
-    whatever the stack; the search's step ladder relies on it."""
+    whatever the stack; the search's step ladder relies on it. Every public
+    evaluator is checked on every reference table, with and without a change
+    of frame, on stacks of 1, 2, 7 and 500 seeded points."""
 
-    @pytest.mark.parametrize("spec_name", ["circle_spec", "cheb_spec", "torus_spec", "ft_spec", "quartic_spec"])
-    def test_embed_and_tangent_rows(self, request, spec_name):
-        spec = request.getfixturevalue(spec_name)
-        u = np.random.default_rng(41).uniform(*spec.box, (500, spec.param_dim))
-        for fn in (spec.embed, spec.tangent_basis):
-            rows = fn(u)
-            assert np.array_equal(rows, [fn(x) for x in u])
-            assert np.array_equal(rows, np.concatenate([fn(u[i : i + 7]) for i in range(0, 500, 7)]))
+    TABLES = {
+        "circle": osbk.circle(),
+        "chebyshev": osbk.chebyshev_curve(),
+        "torus": osbk.sphere_torus(),
+        "ellipsoid": osbk.SymplecticEllipsoid((1.0, 2.0)),
+        "cubic": osbk.GeneratingGraph(osbk.Poly(2, {(2, 1): 1.0, (1, 2): 1.0})),
+        "quartic": osbk.GeneratingGraph(osbk.Poly(2, {(2, 1): 1.0, (1, 2): 1.0, (4, 0): 0.1}), (-3.0, 3.0)),
+    }
+    one_point: dict = {}  # (table, framed) -> evaluator name -> the 500 one-point results
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_polygon_rows(self, d):
-        P = np.random.default_rng(43).uniform(-2, 2, (166, 3, 2 * d))
-        for fn in (
-            osbk.gen_fun_periodic,
-            osbk.gen_fun_boundary,
-            lambda Q: ambient_gradients(Q, "periodic"),
-            lambda Q: ambient_gradients(Q, "boundary"),
-        ):
-            assert np.array_equal(fn(P), [fn(Q) for Q in P])
+    @staticmethod
+    def evaluators(spec) -> dict:
+        """Name -> (stacked call, one-point call, 500 seeded inputs) for every evaluator that applies to spec."""
+        rng = np.random.default_rng(41)
+        U = rng.uniform(*spec.box, (500, spec.param_dim))
+        X = spec.embed(U)
+        P = X[rng.integers(0, 500, (500, 3))]  # polygons of three table points
+        cases = {
+            "embed": (spec.embed, U),
+            "tangent_basis": (spec.tangent_basis, U),
+            "tangent_frame": (spec.tangent_frame, U),
+            "embed_hessian": (spec.embed_hessian, U),
+            "gen_fun_periodic": (osbk.gen_fun_periodic, P),
+            "gen_fun_boundary": (osbk.gen_fun_boundary, P),
+            "gen_fun_boundary n=1": (osbk.gen_fun_boundary, P[:, :1]),
+            "ambient_gradients periodic": (lambda Q: ambient_gradients(Q, "periodic"), P),
+            "ambient_gradients boundary": (lambda Q: ambient_gradients(Q, "boundary"), P),
+        }
+        if spec.transform is not None:
+            cases["AffineSymplectic.__call__"] = (spec.transform, X)
+            cases["AffineSymplectic.apply_vector"] = (spec.transform.apply_vector, X)
+        if spec.kind == "graph":
+            for k in range(4):
+                cases[f"Poly.partials {k}"] = (lambda q, k=k: spec.table.F.partials(q, k), U)
+        if spec.kind == "ellipsoid" or (spec.kind == "graph" and spec.table.is_homogeneous_cubic()):
+            cases["IntegralSet.values"] = (osbk.integrals_for(osbk.spec_for(spec.table)).values, X)
+        cases = {name: (fn, fn, inputs) for name, (fn, inputs) in cases.items()}
+        if spec.is_curve:
+            trig, orders = spec.as_trig, (0, 1, 2, 3)
+            jet = lambda ts: np.stack(trig.curve_jet(ts, orders), axis=-2)
+            cases["curve_jet"] = (jet, lambda t: jet(t)[0], U[:, 0])
+            cases["deriv"] = (jet, lambda t: np.stack([trig.deriv(t, k) for k in orders]), U[:, 0])
+        return cases
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 500])
+    @pytest.mark.parametrize("framed", [False, True], ids=["plain", "framed"])
+    @pytest.mark.parametrize("table", list(TABLES))
+    def test_rows_equal_one_point_calls(self, table, framed, N):
+        base = self.TABLES[table]
+        d = base.ambient_dim // 2
+        spec = osbk.spec_for(base, random_symplectic(d, np.random.default_rng(47)) if framed else None)
+        cases = self.evaluators(spec)
+        if (table, framed) not in self.one_point:
+            self.one_point[table, framed] = {name: [one(x) for x in inputs] for name, (_, one, inputs) in cases.items()}
+        singles = self.one_point[table, framed]
+        differ = []
+        for name, (stacked, _, inputs) in cases.items():
+            got = stacked(inputs[:N])
+            got = got if isinstance(got, tuple) else (got,)
+            want = [o if isinstance(o, tuple) else (o,) for o in singles[name][:N]]
+            if not all(np.array_equal(g, np.stack([w[j] for w in want])) for j, g in enumerate(got)):
+                differ.append(name)
+        assert differ == []
 
 
 class TestStepLadder:
