@@ -252,15 +252,13 @@ def step_curve(curve: TrigImmersion | ManifoldSpec, z) -> list[StepCandidate]:
 # -- ellipsoids ---------------------------------------------------------------
 
 
-def _ellipsoid_t2(axes: Sequence[float], c: Sequence[float], s: float = 0.0) -> float:
-    """Positive root s = t^2 of sum_j c_j a_j^2/(a_j^2+s) = 1, by Newton from ``s``.
+def _ellipsoid_t2(axes: Sequence[float], c: Sequence[float]) -> float:
+    """Positive root s = t^2 of sum_j c_j a_j^2/(a_j^2+s) = 1, by Newton from s = 0.
 
     The left side is convex and decreasing in s, so Newton from below the root
-    increases monotonically to it; it stops once it no longer increases. A warm
-    start that is not below the root (h(s) <= 0) would break that stop rule, so
-    it falls back to the cold start s = 0.
+    increases monotonically to it; it stops once it no longer increases.
     """
-    start = s
+    s = 0.0
     for _ in range(80):
         h = -1.0
         hp = 0.0
@@ -270,8 +268,6 @@ def _ellipsoid_t2(axes: Sequence[float], c: Sequence[float], s: float = 0.0) -> 
             term = cj * a2 / r
             h += term
             hp -= term / r
-        if start > 0.0 and s == start and not h > 0.0:
-            return _ellipsoid_t2(axes, c)
         s_next = s - h / hp
         if not s_next > s:
             break
@@ -279,22 +275,28 @@ def _ellipsoid_t2(axes: Sequence[float], c: Sequence[float], s: float = 0.0) -> 
     return s
 
 
-def _ellipsoid_midpoint(
-    axes: Sequence[float], x: list[float], y: list[float], branch: int, s_start: float = 0.0
-) -> tuple[float, float, list, list]:
-    """Level sum_j (x_j^2 + y_j^2)/a_j of the source (x, y), the root s = t^2 (Newton from
-    ``s_start``) and the midpoint (q, p) on ``branch``; s is 0 and q and p are empty unless the
-    level exceeds 1 + 1e-12 (a source strictly outside the ellipsoid)."""
-    c = [(xj * xj + yj * yj) / aj for aj, xj, yj in zip(axes, x, y)]
+def _ellipsoid_source(ell: SymplecticEllipsoid, z, branch: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """The checked source z, the root s = t^2 and the midpoint of its step on ``branch``.
+
+    Raises :class:`DomainError` unless the level sum_j (x_j^2 + y_j^2)/a_j of z
+    exceeds 1 + 1e-12 (a source strictly outside the ellipsoid).
+    """
+    if branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
+    z = as_phase_vector(z)
+    if z.size != ell.ambient_dim:
+        raise ValueError(f"expected a vector of length {ell.ambient_dim}, got {z.size}")
+    x, y = z[0::2].tolist(), z[1::2].tolist()
+    c = [(xj * xj + yj * yj) / aj for aj, xj, yj in zip(ell.axes, x, y)]
     level = sum(c)
     if level <= 1.0 + 1e-12:
-        return level, 0.0, [], []
-    s = _ellipsoid_t2(axes, c, s_start)
+        raise DomainError(f"source must lie strictly outside the ellipsoid (level {level:.6g}, need > 1)")
+    s = _ellipsoid_t2(ell.axes, c)
     t = branch * math.sqrt(s)
-    denom = [1.0 + s / (aj * aj) for aj in axes]
-    q = [(xj + t * yj / aj) / dj for aj, xj, yj, dj in zip(axes, x, y, denom)]
-    p = [(yj - t * xj / aj) / dj for aj, xj, yj, dj in zip(axes, x, y, denom)]
-    return level, s, q, p
+    denom = [1.0 + s / (aj * aj) for aj in ell.axes]
+    q = [(xj + t * yj / aj) / dj for aj, xj, yj, dj in zip(ell.axes, x, y, denom)]
+    p = [(yj - t * xj / aj) / dj for aj, xj, yj, dj in zip(ell.axes, x, y, denom)]
+    return z, s, interleave(q, p)
 
 
 def _ellipsoid_tangent_rows(ell: SymplecticEllipsoid, mid: np.ndarray) -> np.ndarray:
@@ -316,15 +318,7 @@ def step_ellipsoid(
     branch +1 takes the positive root t of the radical equation (the forward
     map), branch -1 the negative root (its inverse).
     """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    z = as_phase_vector(z)
-    if z.size != ell.ambient_dim:
-        raise ValueError(f"expected a vector of length {ell.ambient_dim}, got {z.size}")
-    level, _, q, p = _ellipsoid_midpoint(ell.axes, z[0::2].tolist(), z[1::2].tolist(), branch)
-    if not q:
-        raise DomainError(f"source must lie strictly outside the ellipsoid (level {level:.6g}, need > 1)")
-    mid = interleave(q, p)
+    z, _, mid = _ellipsoid_source(ell, z, branch)
     rows = _ellipsoid_tangent_rows(ell, mid)
     return _step_candidates(z, mid[None], ell.param_of(mid)[None], rows[None], transform, branch=branch)[0]
 
@@ -332,28 +326,26 @@ def step_ellipsoid(
 def iterate_ellipsoid(ell: SymplecticEllipsoid, z0, steps: int, branch: int = 1) -> np.ndarray:
     """Iterate the fixed-branch ellipsoid step; returns (steps+1, 2d) trajectory.
 
-    Plain-float inner loop: the per-step work is a handful of scalars, and
-    array overhead would dominate at 10^4 steps. The levels c_j are integrals
-    of the map, so the root s = t^2 barely moves: after the first (cold) step,
-    Newton starts just below the previous root, at s_prev (1 - 1e-8).
+    The levels c_j = (x_j^2 + y_j^2)/a_j are integrals of the map, so the root
+    s = t^2 is the same at every step, and a step multiplies each complex line
+    w_j = x_j + i y_j by the fixed unit number r_j = (a_j - i t)^2/(a_j^2 + s).
+    So one root is solved per orbit: row 1 is the :func:`step_ellipsoid`
+    partner of z0, bit for bit, and row k is w_1 r^(k-1). The powers come from
+    one running product, one complex multiply each (a phase k phi would round
+    at ulp(k phi)), rescaled to modulus 1 so that no level drifts.
     """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    z0 = as_phase_vector(z0)
-    if z0.size != ell.ambient_dim:
-        raise ValueError(f"expected a vector of length {ell.ambient_dim}, got {z0.size}")
-    xs, ys = z0[0::2].tolist(), z0[1::2].tolist()
+    z0, s, mid = _ellipsoid_source(ell, z0, branch)
     out = np.empty((steps + 1, z0.size))
     out[0] = z0
-    s = 0.0
-    for k in range(1, steps + 1):
-        level, s, q, p = _ellipsoid_midpoint(ell.axes, xs, ys, branch, s * (1.0 - 1e-8))
-        if not q:
-            raise DomainError(f"orbit reached the ellipsoid at step {k} (level {level:.6g})")
-        xs = [2.0 * qj - xj for qj, xj in zip(q, xs)]
-        ys = [2.0 * pj - yj for pj, yj in zip(p, ys)]
-        out[k, 0::2] = xs
-        out[k, 1::2] = ys
+    if steps > 0:
+        out[1] = 2.0 * mid - z0
+        a, t = np.asarray(ell.axes), branch * math.sqrt(s)
+        turn = np.empty((steps - 1, ell.d), dtype=complex)
+        # r in real divisions: a complex division by a_j^2 + s would move |r| off 1 by more than an ulp
+        turn.real, turn.imag = (a * a - s) / (a * a + s), -2.0 * a * t / (a * a + s)
+        np.cumprod(turn, axis=0, out=turn)
+        w = (out[1, 0::2] + 1j * out[1, 1::2]) * (turn / np.abs(turn))
+        out[2:, 0::2], out[2:, 1::2] = w.real + 0.0, w.imag + 0.0  # a plane at rest reads 0, not -0
     return out
 
 

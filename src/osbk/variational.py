@@ -383,8 +383,10 @@ def _search_core(
     of every pending start's step in one objective call, and each start takes
     its first rung that passes the Armijo test. Halving is exact and every
     objective row is independent of its stack, so the accepted steps are
-    those of one-halving-per-pass backtracking, bit for bit. Returns
-    (converged (params, value, gradnorm), n_converged).
+    those of one-halving-per-pass backtracking, bit for bit. A start whose
+    gradient needs the tangent space at a rank-deficient chart point (the
+    ellipsoid chart has some) ends there. Returns (converged (params, value,
+    gradnorm), n_converged, n_ended_rank_deficient).
     """
     m, dim = spec.param_dim, spec.ambient_dim
     cyclic = kind == "periodic"  # cyclic shifts are a symmetry of F only; boundary chains keep row order
@@ -394,10 +396,19 @@ def _search_core(
     def objective(U: np.ndarray) -> np.ndarray:
         return _objective(spec, n, kind, U)
 
-    def gradient(U: np.ndarray) -> np.ndarray:
+    def gradient(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # parameter gradients, and per midpoint whether its tangent space has full rank
         flat = U.reshape(-1, m)
         g = ambient_gradients(spec.embed(flat).reshape(U.shape[0], n, dim), kind)
-        return _chain_rule(spec.tangent_basis(flat), g.reshape(flat.shape[0], dim)).reshape(U.shape)
+        rows, full = spec.tangent_frame(flat)
+        return _chain_rule(rows, g.reshape(flat.shape[0], dim)).reshape(U.shape), full
+
+    def end_rank_deficient(idx: np.ndarray, full: np.ndarray) -> np.ndarray:
+        # the starts idx with a midpoint at a rank-deficient chart point end there, counted;
+        # returns the mask of the others
+        ok = full.reshape(-1, n).all(axis=1)
+        singular[idx[~ok]], alive[idx[~ok]] = True, False
+        return ok
 
     def norms(G: np.ndarray) -> np.ndarray:
         # one dot product per start, summed as np.linalg.norm sums a single start
@@ -411,6 +422,7 @@ def _search_core(
     U = np.array([task_rng(seed, i).uniform(lo, hi, (n, m)) for i in range(starts)]).reshape(starts, n, m)
     f, alpha, step = objective(U), np.full(starts, 0.5), np.zeros(starts)
     alive, climbing = np.ones(starts, dtype=bool), np.ones(starts, dtype=bool)
+    singular = np.zeros(starts, dtype=bool)  # reached a rank-deficient chart point: the start ends
     G, gn = np.zeros_like(U), np.zeros(starts)
     rungs = 0.5 ** np.arange(_LADDER_RUNGS)
     # gradient ascent with per-start Armijo backtracking
@@ -418,8 +430,10 @@ def _search_core(
         c = np.flatnonzero(climbing)
         if not c.size:
             break
-        G[c] = gradient(U[c])
+        G[c], full = gradient(U[c])
         gn[c] = norms(G[c])
+        if not full.all():
+            c = c[end_rank_deficient(c, full)]
         pending = np.zeros(starts, dtype=bool)
         pending[c] = ~(gn[c] <= 1e-9 * np.maximum(1.0, np.abs(f[c])))
         step[pending] = alpha[pending]
@@ -445,8 +459,11 @@ def _search_core(
         p = np.flatnonzero(polishing)
         if not p.size:
             break
-        G = gradient(U[p]).reshape(p.size, n * m)
+        G, full = gradient(U[p])
+        G = G.reshape(p.size, n * m)
         moving = ~(norms(G) <= 1e-12 * np.maximum(1.0, np.abs(f[p])))
+        if not full.all():
+            moving &= end_rank_deficient(p, full)
         polishing[p[~moving]] = False
         p = p[moving]
         delta, _ = solve_stack(stationarity_hessian(spec, U[p], kind), -G[moving], 1e-10)
@@ -454,22 +471,32 @@ def _search_core(
         failed = p[~np.all(np.isfinite(delta), axis=1) | left_box(U[p])]
         alive[failed] = polishing[failed] = False
     idx = np.flatnonzero(alive)
-    gn, f = norms(gradient(U[idx])), objective(U[idx])
+    G, full = gradient(U[idx])
+    gn, f = norms(G), objective(U[idx])
     ok = gn <= 1e-7 * np.maximum(1.0, np.abs(f))
+    if not full.all():
+        ok &= end_rank_deficient(idx, full)
     # deterministic merge: sort then dedup
     W = _wrap_params(U[idx[ok]], angular)
     results = [(_canonical_shift(w) if cyclic else w, float(fi), float(g)) for w, fi, g in zip(W, f[ok], gn[ok])]
     results.sort(key=lambda r: (-sign * r[1], tuple(np.round(r[0].ravel(), 9))))
-    return _distinct(results, [r[0] for r in results], angular, cyclic), len(results)
+    return _distinct(results, [r[0] for r in results], angular, cyclic), len(results), int(np.sum(singular))
 
 
 def _verified_orbit(spec: ManifoldSpec, U: np.ndarray, chain: np.ndarray, kind: str) -> OrbitPolyline | None:
     """The orbit with closed vertex chain (n+1, 2d) and midpoint params U (n, m), or None when the
-    chain's normalized orthogonality residual exceeds ``ORBIT_RESIDUAL_TOL``."""
-    res = orthogonality_residual(np.diff(chain, axis=0), spec.tangent_basis(U))
-    if res > ORBIT_RESIDUAL_TOL:
+    chain's normalized orthogonality residual exceeds ``ORBIT_RESIDUAL_TOL`` or a midpoint sits at a
+    rank-deficient chart parameter."""
+    rows, full = spec.tangent_frame(U)
+    res = orthogonality_residual(np.diff(chain, axis=0), rows)
+    if res > ORBIT_RESIDUAL_TOL or not np.all(full):
         return None
     return make_orbit(chain[:-1] if kind == "periodic" else chain, kind, max_residual=res)
+
+
+def _rank_deficient_note(count: int) -> str:
+    """The message suffix counting starts that ended at a rank-deficient chart point; empty for none."""
+    return f", {count} starts ended at a rank-deficient chart point" if count else ""
 
 
 def find_periodic_orbit(
@@ -483,7 +510,7 @@ def find_periodic_orbit(
     if _is_flat(spec, n, "periodic", starts, seed):
         return SearchResult((), None, False, True, "flat objective: generating function is constant on M^n")
     sign = 1.0 if mode == "max" else -1.0
-    kept, n_conv = _search_core(spec, n, "periodic", starts, seed, sign)
+    kept, n_conv, n_singular = _search_core(spec, n, "periodic", starts, seed, sign)
     C, _ = _chain_coefficients(n, "periodic")
     found: list[FoundOrbit] = []
     for U, f, gn in kept:
@@ -491,10 +518,12 @@ def find_periodic_orbit(
         orb = _verified_orbit(spec, U, np.vstack([Z, Z[0]]), "periodic")
         if orb is not None:
             found.append(FoundOrbit(orb, U, f, gn))
+    ended = _rank_deficient_note(n_singular)
     if not found:
-        return SearchResult((), None, True, False, f"search failed: {n_conv} of {starts} starts converged, none verified")
+        msg = f"search failed: {n_conv} of {starts} starts converged, none verified{ended}"
+        return SearchResult((), None, True, False, msg)
     found.sort(key=lambda o: -sign * o.value)
-    return SearchResult(tuple(found), found[0], False, False, f"{len(found)} distinct critical orbits")
+    return SearchResult(tuple(found), found[0], False, False, f"{len(found)} distinct critical orbits{ended}")
 
 
 def find_boundary_orbit(
@@ -525,25 +554,26 @@ def find_boundary_orbit(
 
     modes = ("max", "min") if mode == "both" else (mode,)
     all_found: list[tuple[FoundOrbit, float]] = []
-    n_conv = 0
+    n_conv = n_singular = 0
     for mname in modes:
         sign = 1.0 if mname == "max" else -1.0
-        kept, conv = _search_core(nspec, n, "boundary", starts, seed, sign)
-        n_conv += conv
+        kept, conv, ended = _search_core(nspec, n, "boundary", starts, seed, sign)
+        n_conv, n_singular = n_conv + conv, n_singular + ended
         for U, f, gn in kept:
             orb = _verified_orbit(nspec, U, _boundary_chain(nspec.embed(U)), "boundary")
             if orb is not None:
                 all_found.append((FoundOrbit(orb, U, f, gn, vertices_ambient=Tinv(orb.vertices)), sign))
     # dedup across the two mode runs
     uniq = _distinct(all_found, [fo.params for fo, _ in all_found], nspec.params_are_angles, shifts=False)
+    ended = _rank_deficient_note(n_singular)
     if not uniq:
-        return BoundarySearchResult(
-            (), None, None, True, False, f"search failed: {n_conv} converged starts, none verified", T
-        )
+        msg = f"search failed: {n_conv} converged starts, none verified{ended}"
+        return BoundarySearchResult((), None, None, True, False, msg, T)
     orbits = tuple(fo for fo, _ in sorted(uniq, key=lambda p: -p[0].value))
     best_max = orbits[0] if mode in ("max", "both") else None
     best_min = orbits[-1] if mode in ("min", "both") else None
-    return BoundarySearchResult(orbits, best_max, best_min, False, False, f"{len(orbits)} distinct critical orbits", T)
+    msg = f"{len(orbits)} distinct critical orbits{ended}"
+    return BoundarySearchResult(orbits, best_max, best_min, False, False, msg, T)
 
 
 @dataclass(frozen=True)

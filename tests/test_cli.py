@@ -285,6 +285,14 @@ class TestIterate:
         assert rows[0] == "index,x1,y1,x2,y2"
         assert len(rows) == 22
 
+    @pytest.mark.parametrize("z", ["0.5,0,0,0", "1,0,0,0"])
+    def test_ellipsoid_source_on_or_inside_is_domain_error(self, capsys, z):
+        rc, out, err = run(["iterate", "--manifold", man(ELL), "--z", z, "--steps", "3"], capsys)
+        assert rc == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "domain"
+        assert error["message"].startswith("source must lie strictly outside the ellipsoid")
+
     def test_no_partner_is_search_failure_and_graph_is_config_error(self, capsys):
         rc, _, err = run(["iterate", "--manifold", man(CIRCLE), "--z", "0.1,0", "--steps", "3"], capsys)
         assert rc == 2
@@ -386,6 +394,15 @@ class TestShoot:
         rc, _, err = run(["shoot", "--manifold", man(FT), "--n", "2", "--starts", "8"], capsys)
         assert rc == 2
         assert json.loads(err)["error"]["code"] == "search-failed"
+
+    @pytest.mark.parametrize("command, n", [("periodic", "3"), ("shoot", "2")])
+    def test_ellipsoid_search_is_a_search_failure(self, capsys, command, n):
+        # every start reaches the ellipsoid chart's rank-deficient set, where it ends
+        rc, out, err = run([command, "--manifold", man(ELL), "--n", n, "--starts", "16"], capsys)
+        assert rc == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "search-failed"
+        assert error["message"].endswith("starts ended at a rank-deficient chart point")
 
     def test_bad_lagrangian_keys_rejected(self, capsys):
         l1 = json.dumps({"base": [0.0, 0.0], "basis": [[1.0, 0.0]], "name": "x"})

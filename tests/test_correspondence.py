@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,7 +343,7 @@ def _h(axes, c, s):
 
 
 class TestEllipsoidWarmStart:
-    """Newton for s = t^2 started from below the root, as iterate_ellipsoid does after its first step."""
+    """The one cold root s = t^2 of an orbit, and iterate_ellipsoid's rows against one cold step each."""
 
     @staticmethod
     def cases(count=3000):
@@ -352,26 +354,19 @@ class TestEllipsoidWarmStart:
             axes = tuple(rng.uniform(0.3, 3.0, d).tolist())
             yield axes, (rng.dirichlet(np.ones(d)) * rng.uniform(1.01, 50.0)).tolist()
 
-    def test_warm_root_lies_in_the_cold_roots_rounding_band(self):
-        # the computed h is rounding noise of size eps (1 + sum c) near the root, so any
-        # monotone Newton stops within that band: |ds| |h'| <= eps (1 + sum c)
+    def test_cold_root_lies_in_the_rounding_band(self):
+        # the computed h is rounding noise of size eps (1 + sum c) near the root, so Newton
+        # stops within |ds| |h'| <= eps (1 + sum c) of it; the exact h, in rationals,
+        # changes sign across that band, and h is decreasing, so the exact root lies in it
         eps = np.finfo(float).eps
-        worst_ulp = 0.0
-        for axes, c in self.cases():
-            cold = _ellipsoid_t2(axes, c)
-            _, hp = _h(axes, c, cold)
-            for start in (cold * (1.0 - 1e-8), cold * (1.0 - 1e-3), 0.5 * cold, cold):
-                warm = _ellipsoid_t2(axes, c, start)
-                assert abs(warm - cold) * abs(hp) <= eps * (1.0 + sum(c))
-                worst_ulp = max(worst_ulp, abs(warm - cold) / np.spacing(cold))
-        assert worst_ulp <= 64  # 55 seen over 20000 cases at levels up to 50
 
-    def test_start_above_the_root_is_the_cold_solve(self):
-        for axes, c in self.cases(1000):
-            cold = _ellipsoid_t2(axes, c)
-            for start in (cold * (1.0 + 1e-8), 2.0 * cold, 1e3 * cold + 1.0):
-                assert _h(axes, c, start)[0] <= 0.0
-                assert _ellipsoid_t2(axes, c, start) == cold
+        def h_exact(axes, c, s):
+            return sum(Fraction(cj) * Fraction(a) ** 2 / (Fraction(a) ** 2 + s) for a, cj in zip(axes, c)) - 1
+
+        for axes, c in self.cases():
+            s = _ellipsoid_t2(axes, c)
+            band = Fraction(eps * (1.0 + sum(c)) / abs(_h(axes, c, s)[1]))
+            assert h_exact(axes, c, Fraction(s) - band) >= 0 >= h_exact(axes, c, Fraction(s) + band)
 
     def test_iterate_steps_match_cold_steps(self, ell2):
         z = np.array([2.0, 0.1, -1.0, 2.2])
@@ -379,6 +374,55 @@ class TestEllipsoidWarmStart:
         assert np.array_equal(orbit[1], osbk.step_ellipsoid(ell2, z).partner)  # the first step is cold
         for a, b in zip(orbit[1:-1], orbit[2:]):
             np.testing.assert_allclose(b, osbk.step_ellipsoid(ell2, a).partner, rtol=0, atol=1e-13)
+
+
+class TestEllipsoidRotation:
+    """iterate_ellipsoid turns each complex line x_j + i y_j by the fixed angle -2 atan(t/a_j) per step."""
+
+    CASES = [
+        ((1.0, 2.0), [2.0, 0.1, -1.0, 2.2]),
+        ((0.8, 1.7, 2.9), [2.0, 0.1, -1.3, 0.4, 0.2, 1.9]),
+        ((1.0,), [2.0, 0.3]),
+    ]
+
+    @pytest.mark.parametrize("branch", [1, -1])
+    @pytest.mark.parametrize("axes, z0", CASES)
+    def test_known_answer_at_step_ten_thousand(self, axes, z0, branch):
+        z0, a = np.array(z0), np.array(axes)
+        s = _ellipsoid_t2(axes, (z0[0::2] ** 2 + z0[1::2] ** 2) / a)
+        phi = -2.0 * np.arctan(branch * np.sqrt(s) / a)
+        w = (z0[0::2] + 1j * z0[1::2]) * np.exp(1j * 10_000 * phi)
+        got = osbk.iterate_ellipsoid(osbk.SymplecticEllipsoid(axes), z0, 10_000, branch=branch)[-1]
+        assert np.linalg.norm(got - osbk.interleave(w.real, w.imag)) <= 1e-11 * np.linalg.norm(z0)
+
+    @pytest.mark.parametrize("axes, z0", CASES)
+    def test_round_trip(self, axes, z0):
+        ell, z0 = osbk.SymplecticEllipsoid(axes), np.array(z0)
+        there = osbk.iterate_ellipsoid(ell, z0, 10_000, branch=1)[-1]
+        back = osbk.iterate_ellipsoid(ell, there, 10_000, branch=-1)[-1]
+        assert np.linalg.norm(back - z0) <= 1e-11 * np.linalg.norm(z0)
+
+    @pytest.mark.parametrize("steps", [0, 5])
+    @pytest.mark.parametrize("z", [[0.1, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    def test_source_on_or_inside_is_domain_error(self, ell2, z, steps):
+        with pytest.raises(osbk.DomainError, match="source must lie strictly outside the ellipsoid"):
+            osbk.iterate_ellipsoid(ell2, np.array(z), steps)
+
+    def test_zero_steps_is_the_source(self, ell2):
+        z = np.array([2.0, 0.1, -1.0, 2.2])
+        orbit = osbk.iterate_ellipsoid(ell2, z, 0)
+        assert orbit.shape == (1, 4) and np.array_equal(orbit[0], z)
+
+    def test_plane_at_rest_stays_at_zero(self, ell2):
+        orbit = osbk.iterate_ellipsoid(ell2, np.array([0.0, 0.0, 3.0, 0.0]), 20)
+        assert not np.any(orbit[:, :2]) and not np.any(np.signbit(orbit[:, :2]))  # 0, never -0, in the CSVs
+
+    def test_one_root_solve_per_orbit(self, monkeypatch, ell2):
+        calls = []
+        solve = correspondence._ellipsoid_t2
+        monkeypatch.setattr(correspondence, "_ellipsoid_t2", lambda *a: calls.append(a) or solve(*a))
+        osbk.iterate_ellipsoid(ell2, np.array([2.0, 0.1, -1.0, 2.2]), 10_000)
+        assert len(calls) == 1
 
 
 class TestIterate:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -471,6 +472,25 @@ class TestBoundarySearch:
         L1, _ = osbk.coordinate_lagrangian_pair(2)
         with pytest.raises(osbk.DomainError):
             osbk.find_boundary_orbit(circle_spec, L1, L1, 1)
+
+
+class TestEllipsoidSearch:
+    """The ascent drives starts onto the ellipsoid chart's rank-deficient set; they end there, counted."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_deficient_starts_end_without_immersion_error(self, ell2, seed):
+        spec = osbk.spec_for(ell2)
+        periodic = osbk.find_periodic_orbit(spec, 3, starts=16, seed=seed)
+        boundary = osbk.find_boundary_orbit(spec, *osbk.coordinate_lagrangian_pair(4), 2, starts=16, seed=seed)
+        links = [(o.orbit.vertices, np.roll(o.orbit.vertices, -1, axis=0), o.params) for o in periodic.orbits]
+        links += [(o.vertices_ambient[:-1], o.vertices_ambient[1:], o.params) for o in boundary.orbits]
+        for Z, Z_next, U in links:
+            for z, z_next, u in zip(Z, Z_next, U):
+                rep = osbk.verify_pair(spec, z, z_next, u)
+                assert rep.midpoint_residual < 1e-8 and rep.orthogonality_residual < 1e-7
+        for res in (periodic, boundary):
+            assert res.failed == (not res.orbits)
+            assert re.search(r"\d+ starts ended at a rank-deficient chart point$", res.message)
 
 
 class TestGraphSearchBox:
