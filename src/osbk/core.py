@@ -49,6 +49,12 @@ def as_phase_vector(v) -> np.ndarray:
     return arr
 
 
+def _require_count(name: str, value: int) -> None:
+    """Raise ValueError naming the count argument ``name`` unless ``value`` >= 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def scale_tol(*arrays, tol: float = GEOMETRIC_TOL) -> float:
     """Absolute tolerance scaled by the largest input magnitude (floor 1)."""
     m = 1.0

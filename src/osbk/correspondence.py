@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from ._pool import task_rng
-from .core import NOISE_ULPS, AffineSymplectic, _distinct, as_phase_vector, interleave, omega_pairwise, solve_stack
+from .core import NOISE_ULPS, AffineSymplectic, _distinct, _require_count, as_phase_vector, interleave, omega_pairwise
+from .core import solve_stack
 from .core import minimize_scalar  # no caller here: the benchmark's trace hooks this name (ROADMAP direction 1)
 from .errors import DomainError, SearchFailedError
 from .manifolds import (
@@ -334,6 +335,8 @@ def iterate_ellipsoid(ell: SymplecticEllipsoid, z0, steps: int, branch: int = 1)
     one running product, one complex multiply each (a phase k phi would round
     at ulp(k phi)), rescaled to modulus 1 so that no level drifts.
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     z0, s, mid = _ellipsoid_source(ell, z0, branch)
     out = np.empty((steps + 1, z0.size))
     out[0] = z0
@@ -359,6 +362,8 @@ def iterate(spec: ManifoldSpec | Table, z0, steps: int, branch: int = 1) -> np.n
     spec = spec if isinstance(spec, ManifoldSpec) else spec_for(spec)
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     z = as_phase_vector(z0)
     if spec.kind == "ellipsoid":
         T = spec.transform
@@ -429,6 +434,7 @@ def step_graph_numeric(
     Solves W = grad F(q) + hess F(q) (Q - q) with the exact Jacobian
     third F(q) . (Q - q); best-effort completeness, deterministic in seed.
     """
+    _require_count("starts", starts)
     z = as_phase_vector(z)
     if z.size != graph.ambient_dim:
         raise ValueError(f"expected a vector of length {graph.ambient_dim}, got {z.size}")

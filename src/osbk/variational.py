@@ -8,16 +8,18 @@ function value equals the symplectic area of the reconstructed polyline.
 
 Even-length periodic polygons admit no generating function; those orbits are
 found by a Levenberg-Marquardt least-squares solve of the stacked closure and
-orthogonality residuals.
+orthogonality residuals. One stationarity kernel evaluates every search: the
+ascent gradient, the Newton polish's Hessian and the even search's residuals
+and Jacobian, in one pass per stack of polygons.
 
 Everything here is deterministic given the seed: start i draws its point
 from the counter-derived generator ``task_rng(seed, i)``, and every search
 runs all starts in lockstep on stacked arrays, with per-start step sizes,
-damping and masks, so a start's path does not depend on the other starts.
-The gradient ascent's Armijo backtracking evaluates one ladder of halvings of
-every pending start's step per round, in one objective call; halving is exact
-and objective rows do not depend on their stack, so it accepts the same steps
-as backtracking one halving at a time.
+damping and masks, so a start's path does not depend on the other starts;
+shooting in mode "both" is one lockstep run of the max and min searches. The
+Armijo backtracking tries a ladder of halvings of every pending step in one
+objective call; halving is exact and objective rows do not depend on their
+stack, so it accepts the steps of backtracking one halving at a time.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ import numpy as np
 
 from ._pool import task_rng
 from .core import AffineLagrangian, AffineSymplectic, _distinct, interleave, normalize_lagrangian_pair, omega_pairwise
-from .core import solve_stack
+from .core import _require_count, apply_J, solve_stack
 from .errors import ClosureError
-from .manifolds import ManifoldSpec, TWO_PI
+from .manifolds import ManifoldSpec, TWO_PI, _require_full_rank
 from .correspondence import orthogonality_residual
 
 # Consecutive-midpoint coincidence threshold. Near a degenerate orbit the
@@ -261,12 +263,21 @@ def grad_gen_fun(spec: ManifoldSpec, Q: MidpointPolygon, kind: str) -> list[np.n
     """Exact parameter-space gradients via the chain rule through embed."""
     if Q.params is None:
         raise ValueError("polygon must carry parameters")
-    return list(_chain_rule(spec.tangent_basis(Q.params), ambient_gradients(Q.points, kind)))
+    return list(_stationarity(spec, Q.params[None], kind, checked=True)[3][0])
 
 
-def _chain_rule(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(n, m) parameter gradients from tangent rows (n, m, 2d) and ambient gradients (n, 2d)."""
-    return np.einsum("iak,ik->ia", rows, g)
+def stationarity_hessian(spec: ManifoldSpec, params: np.ndarray, kind: str) -> np.ndarray:
+    """Exact Hessian of the generating function: (n, m) -> (nm, nm), (S, n, m) -> (S, nm, nm).
+
+    One stationarity kernel serves this Hessian, the searches' ascent gradient
+    and Newton polish, and the even search's residuals and Jacobian; shooting
+    in mode "both" is one lockstep run of the max and min searches. A
+    rank-deficient midpoint raises ImmersionError.
+    """
+    params = np.atleast_2d(np.asarray(params, dtype=float))
+    n, m = params.shape[-2:]
+    H = _stationarity(spec, params.reshape(-1, n, m), kind, hessian=True, checked=True)[4]
+    return H.reshape(params.shape[:-2] + (n * m, n * m))
 
 
 def _recon_diff(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -275,23 +286,36 @@ def _recon_diff(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     return np.diff(Cx, axis=0), np.diff(Cy, axis=0)
 
 
-def stationarity_hessian(spec: ManifoldSpec, params: np.ndarray, kind: str) -> np.ndarray:
-    """Exact Hessian of the generating function: (n, m) -> (nm, nm), (S, n, m) -> (S, nm, nm)."""
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    n, m = params.shape[-2:]
-    flat = params.reshape(-1, m)
-    S, dim = flat.shape[0] // n, spec.ambient_dim
-    R = spec.tangent_basis(flat).reshape(S, n, m, dim)
-    g = ambient_gradients(spec.embed(flat).reshape(S, n, dim), kind)
+def _stationarity(spec: ManifoldSpec, U: np.ndarray, kind: str, offset=None, hessian=False, checked=False) -> tuple:
+    """One evaluation of the stationarity system per parameter polygon of a stack U (S, n, m).
+
+    Returns the embedding (S, n, 2d), tangent rows (S, n, m, 2d), their
+    full-rank mask (S, n), the gradient -omega(z_{i+1} - z_i + offset_i,
+    zeta_ia) (S, n, m) and, if ``hessian``, its exact Jacobian (S, nm, nm).
+    ``offset`` (S, n, 2d) is added to each vertex difference. ``checked``
+    raises ImmersionError at a rank-deficient midpoint.
+    """
+    S, n, m = U.shape
+    dim = spec.ambient_dim
+    flat = U.reshape(-1, m)
+    pts = spec.embed(flat).reshape(S, n, dim)
+    R, full = spec.tangent_frame(flat)
+    g = ambient_gradients(pts, kind)  # -J(z_{i+1} - z_i)
+    if offset is not None:
+        g -= apply_J(offset)
+    grad = np.einsum("iak,ik->ia", R, g.reshape(-1, dim)).reshape(S, n, m)
+    R, full = R.reshape(S, n, m, dim), full.reshape(S, n)
+    if checked and not full.all():
+        _require_full_rank(np.swapaxes(R, -1, -2), U)
+    if not hessian:
+        return pts, R, full, grad, None
     Dx, Dy = _recon_diff(n, kind)
-    Rx, Ry = R[..., 0::2], R[..., 1::2]
     # zeta_ia^T (d g_i / d Q_j) zeta_jb at [s, i, a, j, b], interleaved block structure
-    H = Dy[:, None, :, None] * np.einsum("siak,sjbk->siajb", Rx, Ry) - Dx[:, None, :, None] * np.einsum(
-        "siak,sjbk->siajb", Ry, Rx
-    )
+    XY = np.einsum("siak,sjbk->siajb", R[..., 0::2], R[..., 1::2])  # x-part of zeta_ia . y-part of zeta_jb
+    H = Dy[:, None, :, None] * XY - Dx[:, None, :, None] * XY.transpose(0, 3, 4, 1, 2)
     s, diag = np.arange(S)[:, None], np.arange(n)
     H[s, diag, :, diag, :] += np.einsum("sic,sicab->siab", g, spec.embed_hessian(flat).reshape(S, n, dim, m, m))
-    return H.reshape(params.shape[:-2] + (n * m, n * m))
+    return pts, R, full, grad, H.reshape(S, n * m, n * m)
 
 
 # -- critical-point search -------------------------------------------------------
@@ -366,52 +390,39 @@ def _is_flat(spec: ManifoldSpec, n: int, kind: str, starts: int, seed: int) -> b
 # the benchmark's orbit searches, 16 slower on the torus).
 _LADDER_RUNGS = 8
 
+_MODE_SIGNS = {"max": (1.0,), "min": (-1.0,), "both": (1.0, -1.0)}  # +1 climbs the objective, -1 descends
+
 
 def _search_core(
-    spec: ManifoldSpec,
-    n: int,
-    kind: str,
-    starts: int,
-    seed: int,
-    sign: float,
-) -> tuple[list[tuple[np.ndarray, float, float]], int]:
-    """Shared ascent+Newton driver over all starts in lockstep.
+    spec: ManifoldSpec, n: int, kind: str, starts: int, seed: int, signs: tuple[float, ...]
+) -> tuple[list[tuple[np.ndarray, float, float]], int, int]:
+    """Shared ascent+Newton driver: every start once per sign (+1 climbs, -1 descends), all in lockstep.
 
-    Every start keeps its own step size and its own place in the ascent and
-    Newton phases; one pass evaluates all starts still in a phase as one
-    stack. A backtracking round tries a ladder of ``_LADDER_RUNGS`` halvings
-    of every pending start's step in one objective call, and each start takes
-    its first rung that passes the Armijo test. Halving is exact and every
-    objective row is independent of its stack, so the accepted steps are
-    those of one-halving-per-pass backtracking, bit for bit. A start whose
-    gradient needs the tangent space at a rank-deficient chart point (the
-    ellipsoid chart has some) ends there. Returns (converged (params, value,
-    gradnorm), n_converged, n_ended_rank_deficient).
+    Each run keeps its own sign, step size and place in the ascent and Newton
+    phases; one pass evaluates all runs still in a phase as one stack. A
+    backtracking round tries a ladder of ``_LADDER_RUNGS`` halvings of every
+    pending run's step in one objective call, and each run takes its first
+    rung that passes the Armijo test. Halving is exact and every row is
+    independent of its stack, so the accepted steps are those of
+    one-halving-per-pass backtracking with one sign at a time, bit for bit. A
+    run at a rank-deficient chart point (the ellipsoid chart has some) ends
+    there. Returns (converged (params, value, gradnorm), sorted and deduped
+    per sign; n_converged; n_ended_rank_deficient).
     """
-    m, dim = spec.param_dim, spec.ambient_dim
+    m = spec.param_dim
     cyclic = kind == "periodic"  # cyclic shifts are a symmetry of F only; boundary chains keep row order
     lo, hi = spec.box
     angular = spec.params_are_angles
 
-    def objective(U: np.ndarray) -> np.ndarray:
-        return _objective(spec, n, kind, U)
-
-    def gradient(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # parameter gradients, and per midpoint whether its tangent space has full rank
-        flat = U.reshape(-1, m)
-        g = ambient_gradients(spec.embed(flat).reshape(U.shape[0], n, dim), kind)
-        rows, full = spec.tangent_frame(flat)
-        return _chain_rule(rows, g.reshape(flat.shape[0], dim)).reshape(U.shape), full
-
     def end_rank_deficient(idx: np.ndarray, full: np.ndarray) -> np.ndarray:
-        # the starts idx with a midpoint at a rank-deficient chart point end there, counted;
+        # the runs idx with a midpoint at a rank-deficient chart point end there, counted;
         # returns the mask of the others
-        ok = full.reshape(-1, n).all(axis=1)
+        ok = full.all(axis=1)
         singular[idx[~ok]], alive[idx[~ok]] = True, False
         return ok
 
     def norms(G: np.ndarray) -> np.ndarray:
-        # one dot product per start, summed as np.linalg.norm sums a single start
+        # one dot product per run, summed as np.linalg.norm sums a single run
         rows = G.reshape(G.shape[0], 1, n * m)
         return np.sqrt((rows @ np.swapaxes(rows, 1, 2))[:, 0, 0])
 
@@ -420,30 +431,32 @@ def _search_core(
         return (not angular) & ((np.min(U, axis=(1, 2)) < lo) | (np.max(U, axis=(1, 2)) > hi))
 
     U = np.array([task_rng(seed, i).uniform(lo, hi, (n, m)) for i in range(starts)]).reshape(starts, n, m)
-    f, alpha, step = objective(U), np.full(starts, 0.5), np.zeros(starts)
-    alive, climbing = np.ones(starts, dtype=bool), np.ones(starts, dtype=bool)
-    singular = np.zeros(starts, dtype=bool)  # reached a rank-deficient chart point: the start ends
-    G, gn = np.zeros_like(U), np.zeros(starts)
+    U, sign = np.tile(U, (len(signs), 1, 1)), np.repeat(signs, starts)
+    runs = U.shape[0]
+    f, alpha, step = _objective(spec, n, kind, U), np.full(runs, 0.5), np.zeros(runs)
+    alive, climbing = np.ones(runs, dtype=bool), np.ones(runs, dtype=bool)
+    singular = np.zeros(runs, dtype=bool)  # reached a rank-deficient chart point: the run ends
+    G, gn = np.zeros_like(U), np.zeros(runs)
     rungs = 0.5 ** np.arange(_LADDER_RUNGS)
-    # gradient ascent with per-start Armijo backtracking
+    # gradient ascent with per-run Armijo backtracking
     for _ in range(400):
         c = np.flatnonzero(climbing)
         if not c.size:
             break
-        G[c], full = gradient(U[c])
+        _, _, full, G[c], _ = _stationarity(spec, U[c], kind)
         gn[c] = norms(G[c])
         if not full.all():
             c = c[end_rank_deficient(c, full)]
-        pending = np.zeros(starts, dtype=bool)
+        pending = np.zeros(runs, dtype=bool)
         pending[c] = ~(gn[c] <= 1e-9 * np.maximum(1.0, np.abs(f[c])))
         step[pending] = alpha[pending]
         climbing[:] = False  # until a step is accepted
         while pending.any():
             p = np.flatnonzero(pending)
             trial = step[p, None] * rungs  # (P, R): rung k is the step k sequential halvings reach
-            U2 = _wrap_params(U[p, None] + (sign * trial)[..., None, None] * G[p, None], angular)
-            f2 = objective(U2.reshape(-1, n, m)).reshape(trial.shape)
-            ok = (sign * (f2 - f[p, None]) >= 1e-4 * trial * gn[p, None] * gn[p, None]) & (trial > 1e-14)
+            U2 = _wrap_params(U[p, None] + (sign[p, None] * trial)[..., None, None] * G[p, None], angular)
+            f2 = _objective(spec, n, kind, U2.reshape(-1, n, m)).reshape(trial.shape)
+            ok = (sign[p, None] * (f2 - f[p, None]) >= 1e-4 * trial * gn[p, None] * gn[p, None]) & (trial > 1e-14)
             hit = ok.any(axis=1)
             first = np.argmax(ok[hit], axis=1)
             won = p[hit]
@@ -459,28 +472,32 @@ def _search_core(
         p = np.flatnonzero(polishing)
         if not p.size:
             break
-        G, full = gradient(U[p])
+        _, _, full, G, H = _stationarity(spec, U[p], kind, hessian=True)
         G = G.reshape(p.size, n * m)
         moving = ~(norms(G) <= 1e-12 * np.maximum(1.0, np.abs(f[p])))
         if not full.all():
             moving &= end_rank_deficient(p, full)
         polishing[p[~moving]] = False
         p = p[moving]
-        delta, _ = solve_stack(stationarity_hessian(spec, U[p], kind), -G[moving], 1e-10)
+        delta, _ = solve_stack(H[moving], -G[moving], 1e-10)
         U[p] = _wrap_params(U[p] + delta.reshape(-1, n, m), angular)
         failed = p[~np.all(np.isfinite(delta), axis=1) | left_box(U[p])]
         alive[failed] = polishing[failed] = False
     idx = np.flatnonzero(alive)
-    G, full = gradient(U[idx])
-    gn, f = norms(G), objective(U[idx])
+    _, _, full, G, _ = _stationarity(spec, U[idx], kind)
+    gn, f = norms(G), _objective(spec, n, kind, U[idx])
     ok = gn <= 1e-7 * np.maximum(1.0, np.abs(f))
     if not full.all():
         ok &= end_rank_deficient(idx, full)
-    # deterministic merge: sort then dedup
-    W = _wrap_params(U[idx[ok]], angular)
-    results = [(_canonical_shift(w) if cyclic else w, float(fi), float(g)) for w, fi, g in zip(W, f[ok], gn[ok])]
-    results.sort(key=lambda r: (-sign * r[1], tuple(np.round(r[0].ravel(), 9))))
-    return _distinct(results, [r[0] for r in results], angular, cyclic), len(results), int(np.sum(singular))
+    # deterministic merge per sign: sort then dedup
+    W = _wrap_params(U[idx], angular)
+    kept: list[tuple[np.ndarray, float, float]] = []
+    for s in signs:
+        mine = np.flatnonzero(ok & (sign[idx] == s))
+        results = [(_canonical_shift(W[k]) if cyclic else W[k], float(f[k]), float(gn[k])) for k in mine]
+        results.sort(key=lambda r: (-s * r[1], tuple(np.round(r[0].ravel(), 9))))
+        kept += _distinct(results, [r[0] for r in results], angular, cyclic)
+    return kept, int(np.sum(ok)), int(np.sum(singular))
 
 
 def _verified_orbit(spec: ManifoldSpec, U: np.ndarray, chain: np.ndarray, kind: str) -> OrbitPolyline | None:
@@ -507,10 +524,10 @@ def find_periodic_orbit(
         raise ValueError("periodic search requires odd n >= 3; use search_even_periodic for even n")
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
+    _require_count("starts", starts)
     if _is_flat(spec, n, "periodic", starts, seed):
         return SearchResult((), None, False, True, "flat objective: generating function is constant on M^n")
-    sign = 1.0 if mode == "max" else -1.0
-    kept, n_conv, n_singular = _search_core(spec, n, "periodic", starts, seed, sign)
+    kept, n_conv, n_singular = _search_core(spec, n, "periodic", starts, seed, _MODE_SIGNS[mode])
     C, _ = _chain_coefficients(n, "periodic")
     found: list[FoundOrbit] = []
     for U, f, gn in kept:
@@ -522,7 +539,6 @@ def find_periodic_orbit(
     if not found:
         msg = f"search failed: {n_conv} of {starts} starts converged, none verified{ended}"
         return SearchResult((), None, True, False, msg)
-    found.sort(key=lambda o: -sign * o.value)
     return SearchResult(tuple(found), found[0], False, False, f"{len(found)} distinct critical orbits{ended}")
 
 
@@ -543,8 +559,9 @@ def find_boundary_orbit(
     """
     if n < 1:
         raise ValueError("need n >= 1 links")
-    if mode not in ("max", "min", "both"):
+    if mode not in _MODE_SIGNS:
         raise ValueError("mode must be 'max', 'min' or 'both'")
+    _require_count("starts", starts)
     T = normalize_lagrangian_pair(L1, L2)
     combined = T.compose(spec.transform) if spec.transform else T
     nspec = ManifoldSpec(spec.table, combined)
@@ -552,24 +569,19 @@ def find_boundary_orbit(
         return BoundarySearchResult((), None, None, False, True, "flat objective: G is constant on M^n", T)
     Tinv = T.inverse()
 
-    modes = ("max", "min") if mode == "both" else (mode,)
-    all_found: list[tuple[FoundOrbit, float]] = []
-    n_conv = n_singular = 0
-    for mname in modes:
-        sign = 1.0 if mname == "max" else -1.0
-        kept, conv, ended = _search_core(nspec, n, "boundary", starts, seed, sign)
-        n_conv, n_singular = n_conv + conv, n_singular + ended
-        for U, f, gn in kept:
-            orb = _verified_orbit(nspec, U, _boundary_chain(nspec.embed(U)), "boundary")
-            if orb is not None:
-                all_found.append((FoundOrbit(orb, U, f, gn, vertices_ambient=Tinv(orb.vertices)), sign))
-    # dedup across the two mode runs
-    uniq = _distinct(all_found, [fo.params for fo, _ in all_found], nspec.params_are_angles, shifts=False)
+    # mode "both" runs the max and min searches as one lockstep stack
+    kept, n_conv, n_singular = _search_core(nspec, n, "boundary", starts, seed, _MODE_SIGNS[mode])
+    found: list[FoundOrbit] = []
+    for U, f, gn in kept:
+        orb = _verified_orbit(nspec, U, _boundary_chain(nspec.embed(U)), "boundary")
+        if orb is not None:
+            found.append(FoundOrbit(orb, U, f, gn, vertices_ambient=Tinv(orb.vertices)))
+    uniq = _distinct(found, [fo.params for fo in found], nspec.params_are_angles, shifts=False)
     ended = _rank_deficient_note(n_singular)
     if not uniq:
         msg = f"search failed: {n_conv} converged starts, none verified{ended}"
         return BoundarySearchResult((), None, None, True, False, msg, T)
-    orbits = tuple(fo for fo, _ in sorted(uniq, key=lambda p: -p[0].value))
+    orbits = tuple(sorted(uniq, key=lambda fo: -fo.value))
     best_max = orbits[0] if mode in ("max", "both") else None
     best_min = orbits[-1] if mode in ("min", "both") else None
     msg = f"{len(orbits)} distinct critical orbits{ended}"
@@ -612,47 +624,33 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
     """
     if n % 2 == 1 or n < 2:
         raise ValueError("even search requires even n >= 2; use find_periodic_orbit for odd n")
+    _require_count("starts", starts)
     m, dim = spec.param_dim, spec.ambient_dim
     nm = n * m
     lo, hi = spec.box
     angular = spec.params_are_angles
 
     C, _ = _chain_coefficients(n, "periodic")
-    D = np.diff(C, axis=0)
     sigma = (-1.0) ** np.arange(n + 1)  # the free start z_1 enters vertex i as (-1)^i z_1
     dsigma = np.diff(sigma)
 
     def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residuals (S, p) and Jacobians (S, p, p) at the stacked unknowns X (S, p).
 
-        A point with a midpoint where the tangent space is rank deficient gets
-        infinite residuals: as a trial it is a rejected step, as a start it ends.
+        The orthogonality residuals are minus the kernel's gradient with z_1 in
+        the offset, their midpoint block is minus its Hessian. A rank-deficient
+        midpoint gives infinite residuals: a rejected trial, or an ended start.
         """
         S = X.shape[0]
-        flat, z1 = X[:, :nm].reshape(S * n, m), X[:, nm:]
-        pts = spec.embed(flat).reshape(S, n, dim)
-        R, full = spec.tangent_frame(flat)
-        R = R.reshape(S, n, m, dim)
-        Hs = spec.embed_hessian(flat).reshape(S, n, dim, m, m)
-        diffs = D @ pts + dsigma[:, None] * z1[:, None, :]
-        Rx, Ry = R[..., 0::2], R[..., 1::2]
-        # omega(z_{i+1} - z_i, zeta_ia) at [s, i, a]
-        ortho = np.einsum("siak,sik->sia", Ry, diffs[..., 0::2]) - np.einsum("siak,sik->sia", Rx, diffs[..., 1::2])
-        r = np.concatenate([C[n] @ pts, ortho.reshape(S, nm)], axis=1)  # closure z_{n+1} - z_1 is free of z_1
-        r[~np.all(full.reshape(S, n), axis=1)] = np.inf
+        U, z1 = X[:, :nm].reshape(S, n, m), X[:, nm:]
+        pts, R, full, grad, H = _stationarity(spec, U, "periodic", dsigma[:, None] * z1[:, None, :], hessian=True)
+        r = np.concatenate([C[n] @ pts, -grad.reshape(S, nm)], axis=1)  # closure z_{n+1} - z_1 is free of z_1
+        r[~full.all(axis=1)] = np.inf
         J = np.zeros((S, nm + dim, nm + dim))
         J[:, :dim, :nm] = np.swapaxes((C[n][:, None, None] * R).reshape(S, nm, dim), 1, 2)
-        # through Q_j: D[i, j] omega(zeta_jb, zeta_ia) at [s, i, a, j, b]
-        dU = D[:, None, :, None] * (np.einsum("sjbk,siak->siajb", Rx, Ry) - np.einsum("sjbk,siak->siajb", Ry, Rx))
-        # through zeta_ia(u_i): omega(z_{i+1} - z_i, d zeta_ia / d u_ib)
-        s, diag = np.arange(S)[:, None], np.arange(n)
-        dU[s, diag, :, diag, :] += np.einsum("sik,sikab->siab", diffs[..., 0::2], Hs[:, :, 1::2]) - np.einsum(
-            "sik,sikab->siab", diffs[..., 1::2], Hs[:, :, 0::2]
-        )
-        J[:, dim:, :nm] = dU.reshape(S, nm, nm)
+        J[:, dim:, :nm] = -H
         # through z_1: -dsigma_i omega(zeta_ia, .) = -dsigma_i (J zeta_ia)^T
-        J[:, dim:, nm:][..., 0::2] = (dsigma[:, None, None] * Ry).reshape(S, nm, dim // 2)
-        J[:, dim:, nm:][..., 1::2] = -(dsigma[:, None, None] * Rx).reshape(S, nm, dim // 2)
+        J[:, dim:, nm:] = -(dsigma[:, None, None] * apply_J(R)).reshape(S, nm, dim)
         return r, J
 
     zscale = max(1.0, float(np.max(np.abs(spec.embed(np.full(m, 0.5 * (lo + hi)))))))

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ._pool import task_rng, task_uniform_blocks
-from .core import apply_J, as_phase_vector, omega, omega_pairwise
+from .core import _require_count, apply_J, as_phase_vector, omega, omega_pairwise
 from .errors import ConsistencyError, DegeneratePencilError, UnstableCountError
 from .manifolds import GeneratingGraph, ManifoldSpec, TrigImmersion, _as_curve
 from .poly import Poly
@@ -433,6 +433,7 @@ def classify_cubic_table(f: CubicForm2, trials: int = 64, seed: int = 0) -> Clas
     can only come from a solver bug. D = 0 runs the ruled test instead of
     sampling.
     """
+    _require_count("trials", trials)
     D = cubic_discriminant(f)
     dscale = max(1.0, f.scale**4)
     if abs(D) <= 1e-10 * dscale:

@@ -370,3 +370,28 @@ class TestTaskRng:
 
     def test_uniform_blocks_of_no_tasks(self):
         assert task_uniform_blocks(0, np.arange(0), 3, -1.0, 1.0).shape == (0, 4)
+
+
+CIRCLE, CUBIC = osbk.spec_for(osbk.circle()), osbk.GeneratingGraph(osbk.Poly(2, {(2, 1): 1.0, (1, 2): 1.0}))
+
+
+class TestCountArguments:
+    """Start and trial counts below 1 raise a ValueError naming the argument."""
+
+    CALLS = {
+        "classify_cubic_table": ("trials", lambda k: osbk.classify_cubic_table(osbk.CubicForm2(0, 1, 1, 0), trials=k)),
+        "find_periodic_orbit": ("starts", lambda k: osbk.find_periodic_orbit(CIRCLE, 3, starts=k)),
+        "find_boundary_orbit": (
+            "starts",
+            lambda k: osbk.find_boundary_orbit(CIRCLE, *osbk.coordinate_lagrangian_pair(2), 2, starts=k),
+        ),
+        "search_even_periodic": ("starts", lambda k: osbk.search_even_periodic(CIRCLE, 4, starts=k)),
+        "step_graph_numeric": ("starts", lambda k: osbk.step_graph_numeric(CUBIC, np.ones(4), starts=k)),
+    }
+
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_count_below_one_rejected(self, call, count):
+        name, fn = self.CALLS[call]
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {count}$"):
+            fn(count)

@@ -453,6 +453,18 @@ class TestIterate:
         with pytest.raises(ValueError, match="branch"):
             osbk.iterate(circle_spec, np.array([2.0, 0.0]), 3, branch=0)
 
+    @pytest.mark.parametrize(
+        "table, z",
+        [(osbk.SymplecticEllipsoid((1.0, 2.0)), [2.0, 0.3, -1.0, 2.5]), (osbk.circle(), [2.0, 0.3])],
+        ids=["ellipsoid", "curve"],
+    )
+    def test_negative_steps_rejected(self, table, z):
+        with pytest.raises(ValueError, match=r"^steps must be >= 0$"):
+            osbk.iterate(table, np.array(z), -1)
+        if isinstance(table, osbk.SymplecticEllipsoid):
+            with pytest.raises(ValueError, match=r"^steps must be >= 0$"):
+                osbk.iterate_ellipsoid(table, np.array(z), -1)
+
 
 class TestCubicGraphStep:
     def test_frozen_two_candidates(self, ft_graph):

@@ -203,6 +203,31 @@ class TestGradients:
         assert np.allclose(H, Hfd, atol=1e-5)
         assert np.allclose(H, H.T, atol=1e-9)
 
+    @pytest.mark.parametrize("spec_name", ["circle_spec", "torus_spec"])
+    def test_kernel_with_offset_matches_fd(self, request, spec_name):
+        # the even search's system: n = 4 midpoints, an offset added to each vertex difference
+        spec = request.getfixturevalue(spec_name)
+        n, m, dim = 4, spec.param_dim, spec.ambient_dim
+        rng = np.random.default_rng(53)
+        U, offset = rng.uniform(0, 2 * np.pi, (1, n, m)), rng.normal(size=(1, n, dim))
+        pts, R, full, grad, H = variational._stationarity(spec, U, "periodic", offset, hessian=True)
+        assert full.all()
+        np.testing.assert_array_equal(pts[0], spec.embed(U[0]))
+        np.testing.assert_array_equal(R[0], spec.tangent_basis(U[0]))
+        z, diffs = np.zeros(dim), []  # the open chain z_{i+1} = 2 Q_i - z_i from z_1 = 0
+        for q in pts[0]:
+            diffs.append(2.0 * q - 2.0 * z)
+            z = 2.0 * q - z
+        want = [[-osbk.omega(d + o, zeta) for zeta in rows] for d, o, rows in zip(diffs, offset[0], R[0])]
+        np.testing.assert_allclose(grad[0], want, rtol=1e-12, atol=1e-12)
+
+        def grad_flat(x):
+            return variational._stationarity(spec, x.reshape(1, n, m), "periodic", offset)[3].ravel()
+
+        Hfd = fd_jacobian(grad_flat, U.ravel())
+        assert H.shape == (1, n * m, n * m)
+        assert np.allclose(H[0], Hfd, atol=1e-5)
+
 
 class TestStackedEvaluation:
     @pytest.mark.parametrize("kind", ["periodic", "boundary"])
@@ -347,6 +372,49 @@ class TestStepLadder:
         assert search() == ladder
         runs = [len(list(group)) for key, group in itertools.groupby(events) if key == "f"]
         assert max(runs) == depth > rungs
+
+
+class TestLockstepModes:
+    """Mode "both" runs the max and min searches as one lockstep stack; a stacked row
+    does not depend on its stack, so it returns exactly the merge of the two runs."""
+
+    @staticmethod
+    def counts(message):
+        conv = re.search(r"(\d+) converged starts", message)
+        ended = re.search(r"(\d+) starts ended at a rank-deficient chart point", message)
+        return int(conv.group(1)) if conv else None, int(ended.group(1)) if ended else 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("spec_name", ["circle_spec", "moved_torus"])
+    def test_both_is_the_merge_of_max_and_min(self, request, spec_name, seed):
+        spec = request.getfixturevalue(spec_name)
+        L1, L2 = osbk.coordinate_lagrangian_pair(spec.ambient_dim)
+        search = lambda mode: osbk.find_boundary_orbit(spec, L1, L2, 2, starts=16, seed=seed, mode=mode)
+        hi, lo, both = search("max"), search("min"), search("both")
+        close = lambda o, p: _params_close(o.params, p.params, spec.params_are_angles, DEDUP_RADIUS, False)
+        merged = list(hi.orbits) + [o for o in lo.orbits if not any(close(o, p) for p in hi.orbits)]
+        merged.sort(key=lambda o: -o.value)
+        assert [o.as_dict() for o in both.orbits] == [o.as_dict() for o in merged]
+        ended = self.counts(hi.message)[1] + self.counts(lo.message)[1]
+        note = f", {ended} starts ended at a rank-deficient chart point" if ended else ""
+        if merged:
+            assert both.best_max.as_dict() == merged[0].as_dict()
+            assert both.best_min.as_dict() == merged[-1].as_dict()
+            assert both.message == f"{len(merged)} distinct critical orbits{note}"
+        else:
+            converged = self.counts(hi.message)[0] + self.counts(lo.message)[0]
+            assert both.failed and both.best_max is None and both.best_min is None
+            assert both.message == f"search failed: {converged} converged starts, none verified{note}"
+
+    def test_odd_search_evaluates_each_polygon_once_per_pass(self, torus_spec, monkeypatch):
+        # the ascent and the Newton polish take gradient, rank mask and Hessian from one kernel
+        # call; only tangent_basis raises at rank-deficient points, and the searches never call it
+        calls = []
+        basis = osbk.ManifoldSpec.tangent_basis
+        monkeypatch.setattr(osbk.ManifoldSpec, "tangent_basis", lambda self, u: calls.append(u) or basis(self, u))
+        res = osbk.find_periodic_orbit(torus_spec, 3, starts=16, seed=0)
+        assert not res.failed
+        assert calls == []
 
 
 class TestStartIndependence:
