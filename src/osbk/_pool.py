@@ -30,15 +30,16 @@ def task_rng(seed: int, task: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=int(seed) & _KEY_MASK))
 
 
-def task_uniform_blocks(seed: int, tasks, blocks, low: float, high: float) -> np.ndarray:
-    """Four uniform draws in [low, high) per task, from whole Philox blocks.
+def task_uniform_blocks(seed: int, tasks, blocks, low: float, high: float, count: int = 4) -> np.ndarray:
+    """``count`` uniform draws in [low, high) per task, starting at whole Philox blocks.
 
-    Row k equals ``task_rng(seed, tasks[k]).uniform(low, high, 4)`` after
+    Row k equals ``task_rng(seed, tasks[k]).uniform(low, high, count)`` after
     ``blocks`` (an int, or one per task) earlier draws of four doubles on that
     stream. Philox turns one counter value into four 64-bit words, one per
     double, so that position is counter ``tasks[k] * 2**128 + blocks`` with an
-    empty buffer: one bit generator, re-keyed through its state, serves every
-    row without building a generator per task.
+    empty buffer, and a draw of more than four runs on through the next
+    counters: one bit generator, re-keyed through its state, serves every row
+    without building a generator per task.
     """
     tasks = np.asarray(tasks).tolist()
     blocks = np.broadcast_to(blocks, (len(tasks),)).tolist()
@@ -47,12 +48,12 @@ def task_uniform_blocks(seed: int, tasks, blocks, low: float, high: float) -> np
     state = bitgen.state
     state["buffer_pos"] = 4  # empty: the next draw computes a fresh block
     counter = state["state"]["counter"]
-    out = np.empty((len(tasks), 4))
+    out = np.empty((len(tasks), count))
     for k, (task, block) in enumerate(zip(tasks, blocks)):
         c = ((int(task) << 128) + int(block)) & _COUNTER_MASK
         counter[:] = [(c >> shift) & _WORD_MASK for shift in (0, 64, 128, 192)]
         bitgen.state = state
-        out[k] = gen.uniform(low, high, 4)
+        out[k] = gen.uniform(low, high, count)
     return out
 
 

@@ -18,6 +18,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -583,7 +584,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # a pure function of _COMMANDS, and parse_args keeps no state between
+    # calls: one parser per process, built on the first main call
     parser = _Parser(prog="osbk", description="Outer symplectic billiard toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
     for name, schema in _COMMANDS.items():
@@ -615,6 +619,11 @@ def _report_error(e: OsbkError, out: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command from ``argv`` (default: ``sys.argv[1:]``) and return its exit code.
+
+    May be called repeatedly in one process; the argument parser is built on
+    the first call and reused. Bad usage writes config error JSON and exits 3.
+    """
     args = _build_parser().parse_args(_attach_number_lists(sys.argv[1:] if argv is None else argv))
     out: str | None = None
     try:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._pool import task_rng
+from ._pool import task_uniform_blocks
 from .core import NOISE_ULPS, AffineSymplectic, _distinct, _require_count, as_phase_vector, interleave, omega_pairwise
 from .core import solve_stack
 from .core import minimize_scalar  # no caller here: the benchmark's trace hooks this name (ROADMAP direction 1)
@@ -444,7 +444,7 @@ def step_graph_numeric(
     rscale = max(1.0, float(np.max(np.abs(W))), float(np.max(np.abs(Q))))
 
     bound = 10.0 * max(abs(lo), abs(hi), hi - lo)
-    q = np.array([task_rng(seed, i).uniform(lo, hi, n) for i in range(starts)]).reshape(starts, n)
+    q = task_uniform_blocks(seed, range(starts), 0, lo, hi, count=n)
     active = np.ones(starts, dtype=bool)
     converged, on_wall = np.zeros(starts, dtype=bool), np.zeros(starts, dtype=bool)
     # one masked Newton iteration over all starts

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._pool import task_rng
+from ._pool import task_rng, task_uniform_blocks
 from .core import AffineLagrangian, AffineSymplectic, _distinct, interleave, normalize_lagrangian_pair, omega_pairwise
 from .core import _require_count, apply_J, solve_stack
 from .errors import ClosureError
@@ -430,7 +430,7 @@ def _search_core(
         # angles wrap; graph parameters that leave the box have run away
         return (not angular) & ((np.min(U, axis=(1, 2)) < lo) | (np.max(U, axis=(1, 2)) > hi))
 
-    U = np.array([task_rng(seed, i).uniform(lo, hi, (n, m)) for i in range(starts)]).reshape(starts, n, m)
+    U = task_uniform_blocks(seed, range(starts), 0, lo, hi, count=n * m).reshape(starts, n, m)
     U, sign = np.tile(U, (len(signs), 1, 1)), np.repeat(signs, starts)
     runs = U.shape[0]
     f, alpha, step = _objective(spec, n, kind, U), np.full(runs, 0.5), np.zeros(runs)

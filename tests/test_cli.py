@@ -641,6 +641,37 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+class TestParserReuse:
+    def test_cached_parser_is_stateless(self, tmp_path, capsys):
+        # errors first, then valid runs: the one parser main builds per process
+        # must carry nothing from one call to the next
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["step", "--manifold", man(FT), "--z", "1,0.5,-0.3,2", "--bogus", "1"])
+        assert exc.value.code == 3
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "config"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"manifold": FT, "command": {"name": "step", "z": [1, 0.5, -0.3, 2]}, "odd": 1}))
+        rc, _, err = run(["step", "--config", str(cfg)], capsys)
+        assert rc == 3 and json.loads(err)["error"]["code"] == "config"
+        valid = {
+            "step": ["step", "--manifold", man(FT), "--z", "1,0.5,-0.3,2", "--seed", "5"],
+            "classify": ["classify", "--coeffs=0,1,1,0", "--trials", "50", "--seed", "5"],
+        }
+        for name, argv in valid.items():
+            assert cli.main([*argv, "--out", str(tmp_path / "in" / name)]) == 0
+            fresh = tmp_path / "fresh" / name
+            r = subprocess.run(
+                [sys.executable, "-m", "osbk.cli", *argv, "--out", str(fresh)], capture_output=True, env=SRC_ENV
+            )
+            assert r.returncode == 0, r.stderr
+            files = sorted(p.name for p in fresh.iterdir())
+            assert "result.json" in files
+            assert sorted(p.name for p in (tmp_path / "in" / name).iterdir()) == files
+            for f in files:
+                assert (tmp_path / "in" / name / f).read_bytes() == (fresh / f).read_bytes()
+        assert cli._build_parser() is cli._build_parser()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         r = subprocess.run(

@@ -367,6 +367,16 @@ class TestTaskRng:
                 for _ in range(2 * skip):
                     rng.uniform(-2.0, 2.0, 2)
                 np.testing.assert_array_equal(row, np.concatenate([rng.uniform(-2.0, 2.0, 2), rng.uniform(-2.0, 2.0, 2)]))
+        # multi-start searches draw a whole start point per task: the draw runs
+        # on through the next blocks and re-keying empties the buffer it leaves
+        for count in (1, 2, 5, 6, 9):
+            for blocks in (0, 3, [3, 0, 2, 1, 4]):
+                got = task_uniform_blocks(seed, tasks, blocks, -3.0, 1.5, count=count)
+                assert got.shape == (len(tasks), count)
+                for row, task, skip in zip(got, tasks, np.broadcast_to(blocks, (len(tasks),)).tolist()):
+                    rng = task_rng(seed, task)
+                    rng.uniform(-3.0, 1.5, 4 * skip)
+                    np.testing.assert_array_equal(row, rng.uniform(-3.0, 1.5, count))
 
     def test_uniform_blocks_of_no_tasks(self):
         assert task_uniform_blocks(0, np.arange(0), 3, -1.0, 1.0).shape == (0, 4)
