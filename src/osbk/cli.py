@@ -454,17 +454,16 @@ def _run_wall(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict,
         rows.append((s.t, *pad, *s.P, s.singular_residual))
     probes_out = []
     mult_rows = []
-    for i, point in enumerate(p["probes"]):
+    for i, (point, count) in enumerate(zip(p["probes"], wall.multiplicity_curve_stack(spec, p["probes"]))):
         entry: dict[str, Any] = {"point": [float(v) for v in point]}
-        try:
-            count = wall.multiplicity_curve(spec, point)
+        if isinstance(count, OsbkError):
+            entry["error"] = {"code": count.code, "message": str(count)}
+            if hasattr(count, "lower"):
+                entry["error"]["lower"] = count.lower
+                entry["error"]["upper"] = count.upper
+        else:
             entry["count"] = count
             mult_rows.append((i, *point, count))
-        except OsbkError as e:
-            entry["error"] = {"code": e.code, "message": str(e)}
-            if hasattr(e, "lower"):
-                entry["error"]["lower"] = e.lower
-                entry["error"]["upper"] = e.upper
         probes_out.append(entry)
     result = {
         "samples": len(samples),

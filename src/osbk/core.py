@@ -65,19 +65,28 @@ def scale_tol(*arrays, tol: float = GEOMETRIC_TOL) -> float:
     return tol * m
 
 
-def omega(u, v) -> float:
-    """The standard symplectic form of two interleaved vectors."""
+def omega(u, v) -> float | np.ndarray:
+    """The standard symplectic form of two interleaved vectors, a float.
+
+    Two stacks (..., 2d) that broadcast together give an array (...), each
+    row rounded as the one-vector call: ``vecdot`` runs the same dot as ``@``.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1 or u.size % 2:
+    if min(u.ndim, v.ndim) == 0 or u.shape[-1] != v.shape[-1] or u.shape[-1] % 2:
         raise ValueError(f"omega needs two equal even-dimensional vectors, got {u.shape} and {v.shape}")
-    return float(u[0::2] @ v[1::2] - u[1::2] @ v[0::2])
+    if u.ndim == v.ndim == 1:
+        return float(u[0::2] @ v[1::2] - u[1::2] @ v[0::2])
+    return np.vecdot(u[..., 0::2], v[..., 1::2]) - np.vecdot(u[..., 1::2], v[..., 0::2])
 
 
 def omega_pairwise(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row-by-row omega of two stacks of vectors, shape (n, 2d) each -> (n,)."""
-    return np.einsum("ij,ij->i", U[:, 0::2], V[:, 1::2]) - np.einsum(
-        "ij,ij->i", U[:, 1::2], V[:, 0::2]
+    """Row-by-row omega of two stacks of vectors (..., 2d) that broadcast together -> (...).
+
+    Its rows round unlike :func:`omega`'s (einsum sums where ``@`` calls a dot).
+    """
+    return np.einsum("...j,...j->...", U[..., 0::2], V[..., 1::2]) - np.einsum(
+        "...j,...j->...", U[..., 1::2], V[..., 0::2]
     )
 
 

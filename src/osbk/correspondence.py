@@ -162,6 +162,9 @@ class CurveScan:
     history: tuple[tuple[int, int], ...]
 
 
+_CONTINUUM = "g(t) = omega(gamma(t) - z, gamma'(t)) vanishes identically: the partners form a continuum"
+
+
 def scan_curve_roots(curve: TrigImmersion, z) -> CurveScan:
     """All roots of g(t) = omega(gamma(t)-z, gamma'(t)) on the circle.
 
@@ -181,62 +184,132 @@ def scan_curve_roots(curve: TrigImmersion, z) -> CurveScan:
     ``sign_change_count`` counts the roots of odd multiplicity. A g whose
     coefficients are all noise vanishes identically, so the partners form a
     continuum: :class:`DomainError`.
+
+    This is the one-probe row of the stacked scan that ``wall`` runs over all
+    its probes at once; the two agree bit for bit.
     """
     if curve.m != 1:
         raise ValueError("root scan requires a curve (m = 1)")
-    z = as_phase_vector(z)
+    scan = _scan_stack(curve, as_phase_vector(z)[None])[0]
+    if isinstance(scan, DomainError):
+        raise scan
+    return scan
 
-    def jets(ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # g, g' and g'' at ts
-        gamma, d1, d2, d3 = curve.curve_jet(ts, (0, 1, 2, 3))
-        d0 = gamma - z
-        return omega_pairwise(d0, d1), omega_pairwise(d0, d2), omega_pairwise(d1, d2) + omega_pairwise(d0, d3)
 
-    K = max((abs(f[0]) for terms in curve.coeffs for f, _, _ in terms), default=0)
-    n = 4 * K + 1
-    gamma, d1 = curve.curve_jet(np.arange(n) * (TWO_PI / n), (0, 1))
-    d0 = gamma - z
-    c = np.fft.rfft(omega_pairwise(d0, d1)) / n  # c_0 .. c_2K; c_-k = conj(c_k)
+def _scan_stack(curve: TrigImmersion, Z: np.ndarray) -> list[CurveScan | DomainError]:
+    """The :func:`scan_curve_roots` of every probe of a stack Z (P, 2d) on one curve, row by row.
+
+    A probe whose g vanishes identically gets its :class:`DomainError` in
+    place of a scan. g is affine in z, so the probes share the curve's cached
+    :class:`ScanPlan`: all samples come from one product and all Fourier
+    coefficients from one ``rfft``. Probes of equal trimmed degree D share one
+    eigensolve of their stacked companion matrices (the matrix ``np.roots``
+    builds), and every root of every probe goes through each jet and Newton
+    pass together. Each step works row by row, so row p equals the scan of
+    Z[p] alone bit for bit.
+    """
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != curve.ambient_dim:
+        raise ValueError(f"probes must have shape (P, {curve.ambient_dim}), got {Z.shape}")
+    plan = curve._scan_plan
+    P, n = len(Z), plan.grid.size
+    samples = omega_pairwise(plan.gamma - Z[:, None], plan.d1)  # (P, 4K + 1)
+    c = np.fft.rfft(samples, axis=1) / n  # c_0 .. c_2K per probe; c_-k = conj(c_k)
     # a sample rounds gamma and z before it subtracts them, so the rounding scales
     # with |gamma| + |z|, not with |gamma - z|: on a small curve far from the
     # origin the difference is tiny but its error is not
-    magnitude = np.max(np.linalg.norm(gamma, axis=1)) + np.linalg.norm(z)
-    noise = NOISE_ULPS * n * np.finfo(float).eps * float(magnitude * np.max(np.linalg.norm(d1, axis=1)))
-    big = np.flatnonzero(np.abs(c) > noise)
-    if not big.size:
-        raise DomainError("g(t) = omega(gamma(t) - z, gamma'(t)) vanishes identically: the partners form a continuum")
-    D = int(big[-1])
-    w = np.roots(np.concatenate([c[D:0:-1], c[:1], np.conj(c[1:D + 1])]))
+    magnitude = plan.gamma_max + np.sqrt(np.vecdot(Z, Z))  # vecdot rounds as norm(z) of one row
+    noise = NOISE_ULPS * n * np.finfo(float).eps * (magnitude * plan.d1_max)
+    big = np.abs(c) > noise[:, None]
+    solvable = big.any(axis=1)
+    D = np.max(big * np.arange(c.shape[1]), axis=1)  # the highest frequency above the noise, or 0
 
+    w, owner = _companion_roots(c, D)
     re, im = np.angle(w) % TWO_PI, np.log(np.abs(w))  # t = re - i im
-    _, g1, g2 = jets(re)
-    den = np.abs(g1) + np.sqrt(g1 * g1 + 2.0 * noise * np.abs(g2))
-    r = np.divide(2.0 * noise, den, out=np.full_like(den, np.inf), where=den > 0.0)
+    gamma, d1, d2, d3 = curve.curve_jet(re, (0, 1, 2, 3))
+    e0 = gamma - Z[owner]
+    g1, g2 = omega_pairwise(e0, d2), omega_pairwise(d1, d2) + omega_pairwise(e0, d3)
+    noise_w = noise[owner]
+    den = np.abs(g1) + np.sqrt(g1 * g1 + 2.0 * noise_w * np.abs(g2))
+    r = np.divide(2.0 * noise_w, den, out=np.full_like(den, np.inf), where=den > 0.0)
     near = np.abs(im) <= 0.5 * r
-    if not near.any():
-        return CurveScan((), 0, ((n, 0),))
-    re, im, r = re[near], im[near], r[near]
-    # clusters: chains of kept eigenvalues closer than r, by transitive closure
-    dre = (re[:, None] - re + np.pi) % TWO_PI - np.pi
-    close = np.hypot(dre, im[:, None] - im) <= np.maximum.outer(r, r)
-    for _ in range(re.size.bit_length()):
-        close = close @ close
-    label = np.unique(np.argmax(close, axis=1), return_inverse=True)[1]
+    t, size, owner = np.zeros(0), np.zeros(0, dtype=int), owner[near]  # no probe has a root
+    if near.any():
+        t, size, owner = _merge_and_polish(curve, Z, re[near], im[near], r[near], owner)
+
+    order = np.lexsort((t, owner))
+    roots = list(map(CurveRoot, t[order].tolist(), (size[order] > 1).tolist()))
+    ends = np.cumsum(np.bincount(owner, minlength=P)).tolist()
+    odd = np.bincount(owner[size % 2 == 1], minlength=P).tolist()
+    return [
+        CurveScan(tuple(roots[lo:hi]), k, ((n, k),)) if ok else DomainError(_CONTINUUM)
+        for ok, k, lo, hi in zip(solvable.tolist(), odd, [0] + ends, ends)
+    ]
+
+
+def _companion_roots(c: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2D eigenvalues of each probe's companion matrix, all probes in order, and the probe of each.
+
+    Row p of the coefficients c (P, 2K + 1) gives the polynomial
+    c_D w^2D + ... + c_0 w^D + ... + conj(c_D) of degree 2 D[p]; D = 0 gives none.
+    """
+    start = np.zeros(len(D) + 1, dtype=int)
+    np.cumsum(2 * D, out=start[1:])
+    w = np.empty(start[-1], dtype=complex)
+    for deg in sorted(set(D.tolist()) - {0}):
+        rows = np.flatnonzero(D == deg)
+        cr = c[rows]
+        poly = np.concatenate([cr[:, deg:0:-1], cr[:, :1], np.conj(cr[:, 1:deg + 1])], axis=1)
+        companion = np.zeros((rows.size, 2 * deg, 2 * deg), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(2 * deg - 1)
+        companion[:, 0] = -poly[:, 1:] / poly[:, :1]
+        w[start[rows, None] + np.arange(2 * deg)] = np.linalg.eigvals(companion)
+    return w, np.repeat(np.arange(len(D)), 2 * D)
+
+
+def _merge_and_polish(
+    curve: TrigImmersion, Z: np.ndarray, re: np.ndarray, im: np.ndarray, r: np.ndarray, owner: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The roots t of the kept eigenvalues t = re - i im (reach r) of the probes ``owner``, with cluster sizes and probes.
+
+    Clusters are chains of a probe's kept eigenvalues closer than r, by
+    transitive closure; probes with equally many kept eigenvalues close as
+    one stack. Eigenvalues arrive grouped by probe, and each probe's clusters
+    come in the order of their first members.
+    """
+    kept = np.bincount(owner)
+    first = np.zeros(kept.size, dtype=int)
+    np.cumsum(kept[:-1], out=first[1:])
+    head = np.empty(re.size, dtype=int)  # the first eigenvalue of each one's cluster
+    for k in sorted(set(kept.tolist()) - {0}):
+        idx = first[kept == k, None] + np.arange(k)
+        a, b, s = re[idx], im[idx], r[idx]
+        dre = (a[:, :, None] - a[:, None, :] + np.pi) % TWO_PI - np.pi
+        close = np.hypot(dre, b[:, :, None] - b[:, None, :]) <= np.maximum(s[:, :, None], s[:, None, :])
+        for _ in range(k.bit_length()):
+            close = close @ close
+        head[idx] = idx[:, :1] + np.argmax(close, axis=2)
+    heads = np.zeros(re.size, dtype=bool)
+    heads[head] = True
+    label = (np.cumsum(heads) - 1)[head]  # clusters numbered in the order of their first members
     size = np.bincount(label)
     t = np.angle(np.bincount(label, np.cos(re)) + 1j * np.bincount(label, np.sin(re)))
-    cluster = size > 1
+    cluster, owner = size > 1, owner[heads]
 
     reach = np.bincount(label, r) / size
-    live = np.ones(t.shape, dtype=bool)
+    live, z = np.ones(t.shape, dtype=bool), Z[owner]
+    orders = (0, 1, 2, 3) if cluster.any() else (0, 1, 2)
     for _ in range(POLISH_STEPS):  # Newton on g, or on g' for a cluster; a root stops at its first step beyond r
-        g0, g1, g2 = jets(t)
-        f, fp = np.where(cluster, g1, g0), np.where(cluster, g2, g1)
+        gamma, d1, d2, *d3 = curve.curve_jet(t, orders)
+        e0 = gamma - z
+        f, fp = omega_pairwise(e0, d1), omega_pairwise(e0, d2)
+        if d3:
+            f[cluster] = fp[cluster]
+            fp[cluster] = omega_pairwise(d1[cluster], d2[cluster]) + omega_pairwise(e0[cluster], d3[0][cluster])
         dt = np.divide(f, fp, out=np.zeros_like(f), where=fp != 0.0)
         live &= np.abs(dt) <= reach
         t = np.where(live, t - dt, t)
-    t %= TWO_PI
-    order = np.argsort(t)
-    count = int(np.sum(size % 2))
-    return CurveScan(tuple(map(CurveRoot, t[order].tolist(), cluster[order].tolist())), count, ((n, count),))
+    return t % TWO_PI, size, owner
 
 
 def step_curve(curve: TrigImmersion | ManifoldSpec, z) -> list[StepCandidate]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +56,17 @@ def _canonical_term(freq: Sequence[int], ca: float, sa: float) -> TrigTerm | Non
     if ca == 0.0 and sa == 0.0:
         return None
     return (f, float(ca), float(sa))
+
+
+class ScanPlan(NamedTuple):
+    """What every root scan on one curve shares: the 4K + 1 samples that fix
+    g(t) = omega(gamma(t) - z, gamma'(t)) for any z, with gamma and gamma' there."""
+
+    grid: np.ndarray  # (4K + 1,) sample parameters k 2 pi / (4K + 1), K the highest frequency
+    gamma: np.ndarray  # (4K + 1, 2d)
+    d1: np.ndarray  # (4K + 1, 2d), gamma'
+    gamma_max: float  # max |gamma| over the grid
+    d1_max: float  # max |gamma'| over the grid
 
 
 def _merge_terms(terms: Iterable[tuple[Sequence[int], float, float]]) -> tuple[TrigTerm, ...]:
@@ -185,6 +196,18 @@ class TrigImmersion:
     def deriv(self, t: float, order: int = 0) -> np.ndarray:
         """Exact order-th derivative of a curve at a single parameter."""
         return self.curve_batch(float(t), order)[0]
+
+    @cached_property
+    def _scan_plan(self) -> ScanPlan:
+        """The curve's :class:`ScanPlan`, built on the first root scan and kept with the order tables."""
+        K = max((abs(f[0]) for terms in self.coeffs for f, _, _ in terms), default=0)
+        n = 4 * K + 1
+        grid = np.arange(n) * (TWO_PI / n)
+        gamma, d1 = self.curve_jet(grid, (0, 1))
+        for a in (grid, gamma, d1):
+            a.flags.writeable = False
+        top = [float(np.max(np.linalg.norm(v, axis=1))) for v in (gamma, d1)]
+        return ScanPlan(grid, gamma, d1, *top)
 
     # -- structure ---------------------------------------------------------
 
@@ -644,11 +667,7 @@ def check_condition_LL(
     D = X - np.asarray(probes, dtype=float).reshape(len(probes), 1, X.shape[1])  # (probes, N, 2d)
     # omega of every (probe, direction, sample) row in one pass; the witness is
     # the first largest |omega| in (direction, sample) order
-    shape = (len(D), T.shape[1]) + X.shape
-    vals = omega_pairwise(
-        np.broadcast_to(D[:, None], shape).reshape(-1, X.shape[1]),
-        np.broadcast_to(np.swapaxes(T, 0, 1), shape).reshape(-1, X.shape[1]),
-    ).reshape(len(D), T.shape[1] * len(pts))
+    vals = omega_pairwise(D[:, None], np.swapaxes(T, 0, 1)).reshape(len(D), T.shape[1] * len(pts))
     best = np.argmax(np.abs(vals), axis=1)
     tmax = max(1.0, float(np.max(np.abs(T))))
     verdicts: list[bool] = []

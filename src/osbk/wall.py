@@ -23,10 +23,10 @@ import numpy as np
 
 from ._pool import task_rng, task_uniform_blocks
 from .core import _require_count, apply_J, as_phase_vector, omega, omega_pairwise
-from .errors import ConsistencyError, DegeneratePencilError, UnstableCountError
+from .errors import ConsistencyError, DegeneratePencilError, OsbkError, UnstableCountError
 from .manifolds import GeneratingGraph, ManifoldSpec, TrigImmersion, _as_curve
 from .poly import Poly
-from .correspondence import scan_curve_roots
+from .correspondence import _scan_stack
 
 
 # -- curve wall ---------------------------------------------------------------
@@ -41,18 +41,25 @@ class WallSample:
     singular_residual: float
 
 
-def curve_wall_singular(curve: TrigImmersion | ManifoldSpec, P, t: float) -> float:
+def curve_wall_singular(curve: TrigImmersion | ManifoldSpec, P, t) -> float | np.ndarray:
     """Residual of the singular-point condition at (P, t).
 
     Zero means P is a singular point of the wall over t; at P = gamma(t) the
     value is -omega(gamma', gamma''), nonzero wherever the curve is
-    symplectically convex.
+    symplectically convex. P (2d,) with a scalar t gives a float; a stack P
+    (N, 2d) with t (N,) gives one residual per row, each equal to its
+    one-point call.
     """
-    g0, g1, g2, g3 = (v[0] for v in _as_curve(curve).curve_jet(float(t), range(4)))
-    return _singular_residual(as_phase_vector(P), g0, g1, g2, g3)
+    c = _as_curve(curve)
+    P, t = np.asarray(P, dtype=float), np.asarray(t, dtype=float)
+    if t.ndim > 1 or P.shape != t.shape + (c.ambient_dim,) or not np.all(np.isfinite(P)):
+        raise ValueError(f"P must be finite of shape {t.shape + (c.ambient_dim,)} to match t, got {P.shape}")
+    res = _singular_residual(P, *c.curve_jet(t, range(4)))
+    return float(res[0]) if t.ndim == 0 else res
 
 
-def _singular_residual(P, g0, g1, g2, g3) -> float:
+def _singular_residual(P, g0, g1, g2, g3) -> np.ndarray:
+    """omega(P, g3) - omega(g1, g2) - omega(g0, g3) per row of stacks that broadcast together."""
     return omega(P, g3) - omega(g1, g2) - omega(g0, g3)
 
 
@@ -66,7 +73,8 @@ def curve_wall_samples(
     The plane is anchored at P = gamma(t) (always a solution) and spanned by an
     orthonormal kernel basis, enumerated over the cartesian power of
     ``plane_grid``. Points where gamma', gamma'' are dependent leave a rank-1
-    system; those samples carry rank = 1.
+    system; those samples carry rank = 1. The t of one rank share one
+    broadcast of their plane points and one pass of residuals.
     """
     c = _as_curve(curve)
     plane_grid = [float(s) for s in plane_grid]
@@ -74,18 +82,23 @@ def curve_wall_samples(
     g0s, g1s, g2s, g3s = c.curve_jet(ts, range(4))
     rows = -apply_J(np.stack([g1s, g2s], axis=1))  # (T, 2, 2d): omega(P, v) = row(v) . P
     _, sv, vts = np.linalg.svd(rows)
-    ranks = np.sum(sv > 1e-10 * np.maximum(sv[:, :1], 1.0), axis=1).tolist()
-    out: list[WallSample] = []
-    for t, rank, vt, g0, g1, g2, g3 in zip(ts.tolist(), ranks, vts, g0s, g1s, g2s, g3s):
-        kernel = vt[rank:]
-        if kernel.shape[0] == 0:
-            combos: list[tuple[float, ...]] = [()]
+    ranks = np.sum(sv > 1e-10 * np.maximum(sv[:, :1], 1.0), axis=1)
+    tl, per_t = ts.tolist(), [[] for _ in ts]
+    for rank in sorted(set(ranks.tolist())):
+        idx = np.flatnonzero(ranks == rank)
+        combos = list(product(plane_grid, repeat=c.ambient_dim - rank))
+        if not combos:
+            continue
+        g0 = g0s[idx, None]
+        if combos[0]:
+            # each plane point is one (1, k) @ (k, 2d) product, as s @ kernel alone
+            P = g0 + (np.array(combos)[:, None, :] @ vts[idx, None, rank:])[..., 0, :]
         else:
-            combos = list(product(plane_grid, repeat=kernel.shape[0]))
-        for s in combos:
-            P = g0 + (np.asarray(s) @ kernel if s else 0.0)
-            out.append(WallSample(t, tuple(s), P, rank, _singular_residual(P, g0, g1, g2, g3)))
-    return out
+            P = g0 + 0.0  # a -0.0 coordinate of gamma is written as 0.0
+        res = _singular_residual(P, g0, g1s[idx, None], g2s[idx, None], g3s[idx, None]).tolist()
+        for i, Pi, ri in zip(idx.tolist(), P, res):
+            per_t[i] = [WallSample(tl[i], s, Pk, rank, rk) for s, Pk, rk in zip(combos, Pi, ri)]
+    return [sample for block in per_t for sample in block]
 
 
 def multiplicity_curve(curve: TrigImmersion | ManifoldSpec, P) -> int:
@@ -93,18 +106,43 @@ def multiplicity_curve(curve: TrigImmersion | ManifoldSpec, P) -> int:
 
     Root counting is refused near the wall: a tangential root means the count
     is about to jump, so the two bracketing counts are raised instead of a
-    guess.
+    guess. This is the one-probe row of :func:`multiplicity_curve_stack`.
+    """
+    count = multiplicity_curve_stack(curve, as_phase_vector(P)[None])[0]
+    if isinstance(count, OsbkError):
+        raise count
+    return count
+
+
+def multiplicity_curve_stack(curve: TrigImmersion | ManifoldSpec, probes) -> list[int | OsbkError]:
+    """The :func:`multiplicity_curve` of every probe of a stack (P, 2d), from one stacked root scan.
+
+    Each entry is the probe's count, or the error its own call raises: an
+    :class:`UnstableCountError` near the wall, a :class:`DomainError` when
+    its partners form a continuum.
     """
     c = _as_curve(curve)
-    scan = scan_curve_roots(c, P)
-    count = scan.sign_change_count
-    if any(r.tangential for r in scan.roots):
-        raise UnstableCountError(
-            f"point is on or near the wall (tangential root); count is between {count} and {count + 2}",
-            count,
-            count + 2,
-        )
-    return count
+    Z = np.asarray(probes, dtype=float)
+    if Z.shape == (0,):  # an empty list of probes
+        Z = Z.reshape(0, c.ambient_dim)
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("probes have non-finite entries")
+    out: list[int | OsbkError] = []
+    for scan in _scan_stack(c, Z):
+        if isinstance(scan, OsbkError):
+            out.append(scan)
+        elif any(r.tangential for r in scan.roots):
+            count = scan.sign_change_count
+            out.append(
+                UnstableCountError(
+                    f"point is on or near the wall (tangential root); count is between {count} and {count + 2}",
+                    count,
+                    count + 2,
+                )
+            )
+        else:
+            out.append(scan.sign_change_count)
+    return out
 
 
 def eta_expansion_check(
@@ -125,7 +163,7 @@ def eta_expansion_check(
         raise ValueError("curve is not symplectically convex at t = 0")
     ts = np.geomspace(float(t_range[0]), float(t_range[1]), samples)
     d0, d1 = c.curve_jet(ts, (0, 1))
-    eta = omega_pairwise(d0 - g0, d1) / omega_pairwise(np.broadcast_to(g2, d1.shape), d1)
+    eta = omega_pairwise(d0 - g0, d1) / omega_pairwise(g2, d1)
     V = np.vander(ts, 3, increasing=True)  # columns 1, t, t^2 against eta/t^2
     coef, *_ = np.linalg.lstsq(V, eta / ts**2, rcond=None)
     return float(coef[0])

@@ -470,6 +470,32 @@ class TestWall:
         assert len(lines) == 5
         assert (out / "multiplicity.csv").exists()
 
+    def test_probe_entries_equal_one_probe_calls(self, tmp_path):
+        # probes either side of the Chebyshev curve's wall, plus one on the
+        # curve, which is refused: every entry is what multiplicity_curve says
+        # for that probe alone
+        spec = osbk.spec_for(osbk.chebyshev_curve())
+        probes = [spec.table.deriv(0.0, 0).tolist()]
+        for t in np.random.default_rng(7).uniform(0.0, 2 * np.pi, 5):
+            g0, g2 = spec.table.deriv(t, 0), spec.table.deriv(t, 2)
+            probes += [(g0 + 1e-2 * g2).tolist(), (g0 - 1e-2 * g2).tolist()]
+        out = tmp_path / "w"
+        table = man(osbk.manifold_to_json(spec))
+        argv = ["wall", "--manifold", table, "--t-count", "16", f"--probes={json.dumps(probes)}", "--out", str(out)]
+        assert cli.main(argv) == 0
+        entries = json.loads((out / "result.json").read_text())["probes"]
+        assert [e["point"] for e in entries] == probes
+        for point, entry in zip(probes, entries):
+            try:
+                want = {"count": osbk.multiplicity_curve(spec, point)}
+            except osbk.OsbkError as e:
+                want = {"error": {"code": e.code, "message": str(e), "lower": e.lower, "upper": e.upper}}
+            assert {k: v for k, v in entry.items() if k != "point"} == want
+        assert entries[0]["error"]["code"] == "unstable-count"
+        assert sorted(e["count"] for e in entries[1:]) == [0] * 5 + [2] * 5
+        counts = (out / "multiplicity.csv").read_text().splitlines()
+        assert [int(row.split(",")[0]) for row in counts[1:]] == list(range(1, 11))
+
     def test_singular_residual_constant_for_circle(self, tmp_path):
         out = tmp_path / "r"
         cli.main(["wall", "--manifold", man(CIRCLE), "--t-count", "8", "--out", str(out)])

@@ -63,6 +63,16 @@ class TestOmega:
         for i in range(7):
             assert rows[i] == pytest.approx(osbk.omega(U[i], V[i]), rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_stacks_round_as_one_vector_calls(self, dim):
+        # a stack gives each row bit for bit, broadcast rows too
+        rng = np.random.default_rng(dim)
+        U = rng.normal(size=(50, 40, dim)) * 10.0 ** rng.uniform(-3, 3, size=(50, 40, 1))
+        V = rng.normal(size=(50, 1, dim))
+        got = osbk.omega(U, V)
+        assert got.shape == (50, 40)
+        assert got.tolist() == [[osbk.omega(u, v[0]) for u in Ui] for Ui, v in zip(U, V)]
+
 
 class TestJ:
     @given(vectors(6))

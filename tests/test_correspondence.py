@@ -250,6 +250,101 @@ class TestScanMatchesReference:
                 assert np.all(np.abs(omega_pairwise(gamma - z, d1)) <= (2 * K + 1) * _rounding(curve, z)[1])
 
 
+def _framed(curve, seed):
+    return osbk.spec_for(curve, random_symplectic(curve.ambient_dim // 2, np.random.default_rng(seed))).as_trig
+
+
+def _stack_probes(curve, P, seed):
+    """P seeded probes of :func:`_scan_sources`' kinds: off the curve, on it, and
+    on either side of its wall at distances 1e-2 down to 1e-8."""
+    rng = np.random.default_rng(seed)
+    dim = curve.ambient_dim
+    centre = np.array([sum(a for f, a, _ in terms if f == (0,)) for terms in curve.coeffs], dtype=float)
+    out = []
+    for kind, t in zip(rng.integers(0, 3, P), rng.uniform(0.0, 2 * np.pi, P)):
+        g0, g2 = curve.deriv(t, 0), curve.deriv(t, 2)
+        if kind == 0:
+            out.append(centre + rng.uniform(0.1, 3.0) * rng.normal(size=dim))
+        elif kind == 1:
+            out.append(g0)
+        else:
+            out.append(g0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, -2) * g2)
+    return np.array(out)
+
+
+def _as_tuple(scan):
+    if isinstance(scan, osbk.DomainError):
+        return ("domain", str(scan))
+    return (tuple((r.t, r.tangential) for r in scan.roots), scan.sign_change_count, scan.history)
+
+
+def _one_probe(curve, z):
+    try:
+        return _as_tuple(osbk.scan_curve_roots(curve, z))
+    except osbk.DomainError as e:
+        return _as_tuple(e)
+
+
+class TestStackedScan:
+    """Row p of a stacked scan is the one-probe scan of probe p, bit for bit."""
+
+    @pytest.mark.parametrize("P", [1, 2, 7, 500])
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            osbk.circle(),
+            osbk.chebyshev_curve(),
+            _framed(osbk.circle(), 3),
+            _framed(osbk.chebyshev_curve(), 4),
+            _trig_curve(3, 4, 1),
+            _trig_curve(5, 6, 2),
+        ],
+        ids=["circle", "chebyshev", "circle-framed", "chebyshev-framed", "trig-K3", "trig-K5"],
+    )
+    def test_rows_equal_one_probe_scans(self, curve, P):
+        Z = _stack_probes(curve, P, seed=P)
+        got = [_as_tuple(s) for s in correspondence._scan_stack(curve, Z)]
+        assert got == [_one_probe(curve, z) for z in Z]
+        # every stack of this size mixes roots with and without tangential flags
+        if P == 500:
+            assert {r[1] for row in got for r in row[0]} == {False, True}
+
+    def test_vanishing_probe_in_a_stack_of_near_wall_probes(self):
+        # the Lagrangian-plane circle: g vanishes identically at the in-plane
+        # probe, and only that row carries the DomainError
+        lag = osbk.TrigImmersion(1, ((((1,), 1.0, 0.0),), (), (((1,), 0.0, 1.0),), ()))
+        Z = _stack_probes(lag, 9, seed=0)
+        Z[[0, 4, 8]] = [0.4, 0.0, -0.3, 0.0]
+        got = [_as_tuple(s) for s in correspondence._scan_stack(lag, Z)]
+        assert [row[0] for row in got].count("domain") >= 3
+        assert got == [_one_probe(lag, z) for z in Z]
+        assert got[0] == ("domain", "g(t) = omega(gamma(t) - z, gamma'(t)) vanishes identically: the partners form a continuum")
+
+    def test_plan_is_built_once_and_passes_take_only_the_orders_they_use(self, monkeypatch):
+        # the 4K + 1 sample jet comes from the curve's cached plan; the root jet
+        # needs g' and g'' (orders 0-3), a polish pass without a cluster orders 0-2
+        curve = osbk.chebyshev_curve()
+        calls = []
+        jet = osbk.TrigImmersion.curve_jet
+        monkeypatch.setattr(
+            osbk.TrigImmersion, "curve_jet", lambda self, ts, orders: calls.append(tuple(orders)) or jet(self, ts, orders)
+        )
+        z = np.array([2.0, 0.5, -1.0, 0.3])
+        osbk.scan_curve_roots(curve, z)
+        assert calls == [(0, 1), (0, 1, 2, 3), (0, 1, 2), (0, 1, 2)]
+        calls.clear()
+        assert osbk.scan_curve_roots(curve, z).sign_change_count == 2
+        assert calls == [(0, 1, 2, 3), (0, 1, 2), (0, 1, 2)]
+        on_curve = curve.deriv(0.3, 0)
+        calls.clear()
+        osbk.scan_curve_roots(curve, on_curve)  # a tangential root: its passes need g''
+        assert calls == [(0, 1, 2, 3)] * 3
+
+    def test_probe_of_the_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"probes must have shape \(P, 4\)"):
+            osbk.scan_curve_roots(osbk.chebyshev_curve(), np.array([1.0, 2.0]))
+
+
 class TestCircleStep:
     def test_forward_frozen_values(self):
         cands = osbk.step_curve(osbk.circle(), np.array([2.0, 0.0]))

@@ -78,3 +78,27 @@ def test_traced_step_on_the_quartic_graph_records_partials_spans(spans, tmp_path
     assert names.count("poly.Poly.partials") >= 1
     assert json.loads((tmp_path / "step" / "result.json").read_text())["count"] >= 1
     assert osbk.Poly.partials is before
+
+
+def test_traced_wall_probes_and_step_keep_the_scan_hook(spans, tmp_path):
+    # the wall's probes go through one stacked scan, which the tracer does not
+    # see; a step still calls scan_curve_roots, whose hook reads .history
+    cheb = osbk.chebyshev_curve()
+    probes = [(cheb.deriv(t, 0) + s * 1e-2 * cheb.deriv(t, 2)).tolist() for t in (0.4, 2.0) for s in (1.0, -1.0)]
+    table = json.dumps(osbk.manifold_to_json(osbk.spec_for(cheb)))
+    rec = spans.Recorder()
+    uninstall = spans.install(rec)
+    try:
+        rec.op_id, rec.active = 0, True
+        argv = ["wall", "--manifold", table, "--t-count", "64", f"--probes={json.dumps(probes)}"]
+        rc_wall = cli.main([*argv, "--out", str(tmp_path / "wall")])
+        rc_step = cli.main(["step", "--manifold", table, "--z=2.5,0.3,-0.4,1.1", "--out", str(tmp_path / "step")])
+        rec.active = False
+    finally:
+        uninstall()
+    assert (rc_wall, rc_step) == (0, 0)
+    names = [rec.names[i] for i in rec.name]
+    assert "wall.multiplicity_curve_stack" in names
+    metrics = spans.layer_metrics(rec, 1)
+    assert metrics["correspondence.scan.calls"] == names.count("correspondence.scan_curve_roots") >= 1
+    assert metrics["correspondence.scan.grid_points"] == 9 * metrics["correspondence.scan.calls"]

@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -60,6 +61,33 @@ class TestWallSamples:
             assert abs(osbk.omega(s.P - gm, gp)) < 1e-9
 
 
+    def test_singular_stack_equals_one_point_calls(self, cheb_spec):
+        rng = np.random.default_rng(0)
+        t = rng.uniform(0.0, 2 * np.pi, 64)
+        P = cheb_spec.embed(t[:, None]) + rng.normal(size=(64, 4))
+        got = osbk.curve_wall_singular(cheb_spec, P, t)
+        assert got.shape == (64,)
+        assert got.tolist() == [osbk.curve_wall_singular(cheb_spec, p, s) for p, s in zip(P, t)]
+        with pytest.raises(ValueError, match="shape"):
+            osbk.curve_wall_singular(cheb_spec, P, t[:5])
+
+    def test_samples_equal_the_per_point_construction(self, cheb_spec):
+        # each sample is gamma(t) + s @ kernel and its residual the scalar-omega
+        # sum at that one point, bit for bit
+        t_grid, grid = np.arange(16) * (2 * np.pi / 16), (0.0, 0.5, -0.5)
+        samples = osbk.curve_wall_samples(cheb_spec, t_grid, grid)
+        assert len(samples) == 16 * 9
+        for k, s in enumerate(samples):
+            g0, g1, g2, g3 = (v[0] for v in cheb_spec.table.curve_jet(t_grid[k // 9], range(4)))
+            rows = -osbk.apply_J(np.stack([g1, g2]))
+            kernel = np.linalg.svd(rows)[2][2:]
+            P = g0 + np.asarray(s.plane_params) @ kernel
+            assert s.t == t_grid[k // 9] and s.plane_params == list(product(grid, repeat=2))[k % 9]
+            assert s.P.tolist() == P.tolist()
+            residual = osbk.omega(P, g3) - osbk.omega(g1, g2) - osbk.omega(g0, g3)
+            assert s.singular_residual == residual == osbk.curve_wall_singular(cheb_spec, P, s.t)
+
+
 class TestMultiplicity:
     def test_circle_frozen_counts(self):
         assert osbk.multiplicity_curve(osbk.circle(), np.array([2.0, 0.0])) == 2
@@ -81,6 +109,26 @@ class TestMultiplicity:
             osbk.multiplicity_curve(g, g.deriv(1.0, 0))
         assert exc.value.lower is not None
         assert exc.value.upper == exc.value.lower + 2
+
+    def test_stack_entries_equal_one_probe_calls(self, cheb_spec, lagrangian_plane_curve):
+        # counts, refusals near the wall and a continuum of partners, each as
+        # multiplicity_curve gives it for that probe alone
+        cheb = cheb_spec.table
+        near_wall = [cheb.deriv(t, 0) + e * cheb.deriv(t, 2) for t in (0.4, 2.9) for e in (1e-2, -1e-2, 0.0, 1e-9)]
+        in_plane = [[0.4, 0.0, -0.3, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+        for spec, probes in ((cheb_spec, near_wall), (lagrangian_plane_curve, in_plane)):
+            got = osbk.multiplicity_curve_stack(spec, probes)
+            for P, entry in zip(probes, got, strict=True):
+                try:
+                    want = osbk.multiplicity_curve(spec, P)
+                except osbk.OsbkError as e:
+                    want = e
+                if isinstance(want, osbk.OsbkError):
+                    assert (type(entry), str(entry), vars(entry)) == (type(want), str(want), vars(want))
+                else:
+                    assert entry == want
+            assert {type(e) for e in got} != {int}
+        assert osbk.multiplicity_curve_stack(cheb_spec, []) == []
 
 
 class TestEtaExpansion:
