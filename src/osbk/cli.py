@@ -33,7 +33,7 @@ import numpy as np
 from . import correspondence, integrability, variational, wall
 from ._pool import task_rng
 from .core import AffineLagrangian, as_phase_vector, interleave
-from .errors import ConfigError, OsbkError, SearchFailedError
+from .errors import ConfigError, LinearAlgebraError, OsbkError, SearchFailedError
 from .manifolds import (
     ManifoldSpec,
     coordinate_lagrangian_pair,
@@ -529,8 +529,7 @@ def _auto_probes(spec: ManifoldSpec, count: int, seed: int) -> list[np.ndarray]:
     X = spec.embed(pts)
     lo, hi = X.min(axis=0), X.max(axis=0)
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo) + 1.0
-    rng = task_rng(seed, 3)
-    return [center + rng.uniform(-1.5, 1.5, X.shape[1]) * half for _ in range(count)]
+    return list(center + task_rng(seed, 3).uniform(-1.5, 1.5, (count, X.shape[1])) * half)
 
 
 def _run_check(spec: ManifoldSpec, p: dict, seed: int, tols: dict) -> tuple[dict, Series]:
@@ -634,6 +633,9 @@ def main(argv: list[str] | None = None) -> int:
         result.update(command=args.cmd, seed=top["seed"], tolerances=top["tolerances"])
         _emit(result, series, out)
         return 0
+    except np.linalg.LinAlgError as e:  # a ValueError, but a failed computation, not bad input
+        _report_error(LinearAlgebraError(str(e)), out)
+        return 2
     except ConfigError as e:
         _report_error(e, out)
         return 3

@@ -22,6 +22,11 @@ Rows meet a fixed matrix by one rule, :func:`_rows`: a stack is one 2-D gemm
 and a lone row is a row of a two-row gemm, so every row of a stacked
 evaluation equals its one-point call bit for bit. The trig evaluators follow
 it, and every change of frame goes through :class:`AffineSymplectic`, which does.
+Row-wise products of two stacks have one rule each, with one BLAS dot per
+row: every row-wise omega is a call of :func:`omega`, and every row norm that
+must round as ``np.linalg.norm`` of one row is :func:`_row_norms`. The Gram
+products of the orbit searches and the step solver's row residuals keep
+their own rounding.
 """
 
 from __future__ import annotations
@@ -80,16 +85,6 @@ def omega(u, v) -> float | np.ndarray:
     return np.vecdot(u[..., 0::2], v[..., 1::2]) - np.vecdot(u[..., 1::2], v[..., 0::2])
 
 
-def omega_pairwise(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row-by-row omega of two stacks of vectors (..., 2d) that broadcast together -> (...).
-
-    Its rows round unlike :func:`omega`'s (einsum sums where ``@`` calls a dot).
-    """
-    return np.einsum("...j,...j->...", U[..., 0::2], V[..., 1::2]) - np.einsum(
-        "...j,...j->...", U[..., 1::2], V[..., 0::2]
-    )
-
-
 def solve_stack(A: np.ndarray, b: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve each system A[k] x = b[k] of a stack (S, p, p), (S, p).
 
@@ -114,6 +109,17 @@ def _rows(x: np.ndarray) -> tuple[np.ndarray, int]:
     """
     flat = x.reshape(-1, x.shape[-1])
     return (flat.repeat(2, axis=0) if len(flat) == 1 else flat), len(flat)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every row of x (..., k) -> (...).
+
+    Each row rounds as ``np.linalg.norm`` of that row alone: both take the
+    square root of one BLAS dot of the contiguous row with itself (a strided
+    dot sums in another order, so a strided stack is copied first).
+    """
+    x = np.ascontiguousarray(x)
+    return np.sqrt(np.vecdot(x, x))
 
 
 def _params_close(
@@ -308,12 +314,11 @@ class AffineLagrangian:
             raise ValueError("base and basis dimensions disagree")
         if np.linalg.matrix_rank(B) != B.shape[0]:
             raise ValueError("basis is rank deficient")
-        tol = scale_tol(B)
-        for i in range(B.shape[0]):
-            for j in range(i + 1, B.shape[0]):
-                w = omega(B[i], B[j])
-                if abs(w) > tol:
-                    raise ValueError(f"basis pair ({i},{j}) is not isotropic: omega = {w:.3e}")
+        W = np.triu(omega(B[:, None], B), 1)  # W[i, j] = omega(b_i, b_j) for i < j
+        bad = np.argwhere(np.abs(W) > scale_tol(B))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"basis pair ({i},{j}) is not isotropic: omega = {W[i, j]:.3e}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "basis", B.astype(float))
 
@@ -385,7 +390,7 @@ def normalize_lagrangian_pair(L1: AffineLagrangian, L2: AffineLagrangian) -> Aff
         raise DomainError(f"subspaces are not transverse: directions intersect in dimension {dim - rank}")
 
     # Darboux pairing: rescale the second basis so omega(a_i, b'_j) = delta_ij.
-    M = np.array([[omega(a, b) for b in B] for a in A])
+    M = omega(A[:, None], B)
     Bp = np.linalg.solve(M.T, B)
 
     # columns (a_1..a_d, b'_1..b'_d) -> columns (e_x1..e_xd, e_y1..e_yd)

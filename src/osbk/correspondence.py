@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._pool import task_uniform_blocks
-from .core import NOISE_ULPS, AffineSymplectic, _distinct, _require_count, as_phase_vector, interleave, omega_pairwise
+from .core import NOISE_ULPS, AffineSymplectic, _distinct, _require_count, _row_norms, as_phase_vector, interleave, omega
 from .core import solve_stack
 from .core import minimize_scalar  # no caller here: the benchmark's trace hooks this name (ROADMAP direction 1)
 from .errors import DomainError, SearchFailedError
@@ -213,12 +213,12 @@ def _scan_stack(curve: TrigImmersion, Z: np.ndarray) -> list[CurveScan | DomainE
         raise ValueError(f"probes must have shape (P, {curve.ambient_dim}), got {Z.shape}")
     plan = curve._scan_plan
     P, n = len(Z), plan.grid.size
-    samples = omega_pairwise(plan.gamma - Z[:, None], plan.d1)  # (P, 4K + 1)
+    samples = omega(plan.gamma - Z[:, None], plan.d1)  # (P, 4K + 1)
     c = np.fft.rfft(samples, axis=1) / n  # c_0 .. c_2K per probe; c_-k = conj(c_k)
     # a sample rounds gamma and z before it subtracts them, so the rounding scales
     # with |gamma| + |z|, not with |gamma - z|: on a small curve far from the
     # origin the difference is tiny but its error is not
-    magnitude = plan.gamma_max + np.sqrt(np.vecdot(Z, Z))  # vecdot rounds as norm(z) of one row
+    magnitude = plan.gamma_max + _row_norms(Z)
     noise = NOISE_ULPS * n * np.finfo(float).eps * (magnitude * plan.d1_max)
     big = np.abs(c) > noise[:, None]
     solvable = big.any(axis=1)
@@ -228,7 +228,7 @@ def _scan_stack(curve: TrigImmersion, Z: np.ndarray) -> list[CurveScan | DomainE
     re, im = np.angle(w) % TWO_PI, np.log(np.abs(w))  # t = re - i im
     gamma, d1, d2, d3 = curve.curve_jet(re, (0, 1, 2, 3))
     e0 = gamma - Z[owner]
-    g1, g2 = omega_pairwise(e0, d2), omega_pairwise(d1, d2) + omega_pairwise(e0, d3)
+    g1, g2 = omega(e0, d2), omega(d1, d2) + omega(e0, d3)
     noise_w = noise[owner]
     den = np.abs(g1) + np.sqrt(g1 * g1 + 2.0 * noise_w * np.abs(g2))
     r = np.divide(2.0 * noise_w, den, out=np.full_like(den, np.inf), where=den > 0.0)
@@ -302,10 +302,10 @@ def _merge_and_polish(
     for _ in range(POLISH_STEPS):  # Newton on g, or on g' for a cluster; a root stops at its first step beyond r
         gamma, d1, d2, *d3 = curve.curve_jet(t, orders)
         e0 = gamma - z
-        f, fp = omega_pairwise(e0, d1), omega_pairwise(e0, d2)
+        f, fp = omega(e0, d1), omega(e0, d2)
         if d3:
             f[cluster] = fp[cluster]
-            fp[cluster] = omega_pairwise(d1[cluster], d2[cluster]) + omega_pairwise(e0[cluster], d3[0][cluster])
+            fp[cluster] = omega(d1[cluster], d2[cluster]) + omega(e0[cluster], d3[0][cluster])
         dt = np.divide(f, fp, out=np.zeros_like(f), where=fp != 0.0)
         live &= np.abs(dt) <= reach
         t = np.where(live, t - dt, t)

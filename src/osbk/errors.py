@@ -67,6 +67,12 @@ class SearchFailedError(OsbkError):
     code = "search-failed"
 
 
+class LinearAlgebraError(OsbkError):
+    """A numpy linear-algebra routine failed, such as an SVD that did not converge."""
+
+    code = "linalg"
+
+
 class ConsistencyError(OsbkError):
     """Two independent routes to the same answer disagreed."""
 

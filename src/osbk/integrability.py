@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NOISE_ULPS, omega_pairwise
+from .core import NOISE_ULPS, omega
 from .errors import DomainError
 from .manifolds import GeneratingGraph, ManifoldSpec, SymplecticEllipsoid
 from .poly import Poly
@@ -115,8 +115,7 @@ def poisson_bracket(f, g, z) -> float | np.ndarray:
     """
     z = _phase_points(z)
     df, dg = ((PolyIntegral(h) if isinstance(h, Poly) else h).grad(z) for h in (f, g))
-    b = omega_pairwise(np.atleast_2d(df), np.atleast_2d(dg))
-    return float(b[0]) if z.ndim == 1 else b
+    return omega(df, dg)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import poly as _poly
 from .core import AffineLagrangian, AffineSymplectic, GEOMETRIC_TOL, NOISE_ULPS, _rows, interleave, minimize_scalar
-from .core import TWO_PI, omega_pairwise
-from .errors import ConfigError, ImmersionError
+from .core import TWO_PI, omega
+from .errors import ConfigError, DomainError, ImmersionError
 
 MIN_SINGULAR_VALUE = 1e-8  # below this a tangent space counts as rank deficient
 CONVEXITY_SAMPLES = 1024  # grid of the convexity profile before local refinement
@@ -105,6 +105,8 @@ class TrigImmersion:
         coeffs = tuple(_merge_terms(terms) for terms in self.coeffs)
         if len(coeffs) < 2 or len(coeffs) % 2:
             raise ValueError("ambient dimension must be even and >= 2")
+        if not any(coeffs):
+            raise ValueError("trig table has no nonzero term: every coordinate vanishes identically")
         for terms in coeffs:
             for f, _, _ in terms:
                 if len(f) != self.m:
@@ -349,6 +351,10 @@ class SymplecticEllipsoid:
         axes = tuple(float(a) for a in np.atleast_1d(np.asarray(self.axes, dtype=float)))
         if not axes or any(a <= 0 for a in axes):
             raise ValueError("axes must be positive")
+        # the steps divide by a_j^2 and by sums of it: a square that underflows or overflows breaks them
+        for a in axes:
+            if not np.finfo(float).tiny <= a * a < math.inf:
+                raise ValueError(f"axis {a!r} is out of range: its square {a * a!r} is not a positive normal float")
         object.__setattr__(self, "axes", axes)
 
     @property
@@ -636,7 +642,10 @@ def check_condition_L(spec: ManifoldSpec, samples: int = 512, tol: float | None 
     V = X[1:] - X[0]
     if V.shape[0] < 2:
         return ConditionLReport(False, None, pts.shape[0])
-    scale = max(1.0, float(np.max(np.abs(V)))) ** 2
+    vmax = float(np.max(np.abs(V)))
+    if not vmax * vmax < math.inf:
+        raise DomainError(f"chords of magnitude {vmax:.3e} are too large: omega of two of them overflows")
+    scale = max(1.0, vmax) ** 2
     threshold = (GEOMETRIC_TOL if tol is None else tol) * scale
     Vx, Vy = V[:, 0::2], V[:, 1::2]
     W = Vx @ Vy.T - Vy @ Vx.T  # W[i, j] = omega(V_i, V_j)
@@ -667,7 +676,7 @@ def check_condition_LL(
     D = X - np.asarray(probes, dtype=float).reshape(len(probes), 1, X.shape[1])  # (probes, N, 2d)
     # omega of every (probe, direction, sample) row in one pass; the witness is
     # the first largest |omega| in (direction, sample) order
-    vals = omega_pairwise(D[:, None], np.swapaxes(T, 0, 1)).reshape(len(D), T.shape[1] * len(pts))
+    vals = omega(D[:, None], np.swapaxes(T, 0, 1)).reshape(len(D), T.shape[1] * len(pts))
     best = np.argmax(np.abs(vals), axis=1)
     tmax = max(1.0, float(np.max(np.abs(T))))
     verdicts: list[bool] = []
@@ -701,7 +710,7 @@ def symplectic_convexity_profile(curve: TrigImmersion | ManifoldSpec) -> Convexi
     curve = _as_curve(curve)
 
     def f(ts) -> np.ndarray:
-        return omega_pairwise(*curve.curve_jet(ts, (1, 2)))
+        return omega(*curve.curve_jet(ts, (1, 2)))
 
     ts = np.arange(CONVEXITY_SAMPLES) * TWO_PI / CONVEXITY_SAMPLES
     w = f(ts)

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._pool import task_rng, task_uniform_blocks
-from .core import AffineLagrangian, AffineSymplectic, _distinct, interleave, normalize_lagrangian_pair, omega_pairwise
+from .core import AffineLagrangian, AffineSymplectic, _distinct, _row_norms, interleave, normalize_lagrangian_pair, omega
 from .core import _require_count, apply_J, solve_stack
 from .errors import ClosureError
 from .manifolds import ManifoldSpec, TWO_PI, _require_full_rank
@@ -134,7 +134,7 @@ def symplectic_area(Z, kind: str | None = None) -> float:
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     nxt = np.roll(Z, -1, axis=0) if kind == "periodic" else Z[1:]
     cur = Z if kind == "periodic" else Z[:-1]
-    return 0.5 * float(np.sum(omega_pairwise(cur, nxt)))
+    return 0.5 * float(np.sum(omega(cur, nxt)))
 
 
 # -- generating functions ------------------------------------------------------
@@ -421,11 +421,6 @@ def _search_core(
         singular[idx[~ok]], alive[idx[~ok]] = True, False
         return ok
 
-    def norms(G: np.ndarray) -> np.ndarray:
-        # one dot product per run, summed as np.linalg.norm sums a single run
-        rows = G.reshape(G.shape[0], 1, n * m)
-        return np.sqrt((rows @ np.swapaxes(rows, 1, 2))[:, 0, 0])
-
     def left_box(U: np.ndarray) -> np.ndarray:
         # angles wrap; graph parameters that leave the box have run away
         return (not angular) & ((np.min(U, axis=(1, 2)) < lo) | (np.max(U, axis=(1, 2)) > hi))
@@ -444,7 +439,7 @@ def _search_core(
         if not c.size:
             break
         _, _, full, G[c], _ = _stationarity(spec, U[c], kind)
-        gn[c] = norms(G[c])
+        gn[c] = _row_norms(G[c].reshape(c.size, n * m))
         if not full.all():
             c = c[end_rank_deficient(c, full)]
         pending = np.zeros(runs, dtype=bool)
@@ -474,7 +469,7 @@ def _search_core(
             break
         _, _, full, G, H = _stationarity(spec, U[p], kind, hessian=True)
         G = G.reshape(p.size, n * m)
-        moving = ~(norms(G) <= 1e-12 * np.maximum(1.0, np.abs(f[p])))
+        moving = ~(_row_norms(G) <= 1e-12 * np.maximum(1.0, np.abs(f[p])))
         if not full.all():
             moving &= end_rank_deficient(p, full)
         polishing[p[~moving]] = False
@@ -485,7 +480,7 @@ def _search_core(
         alive[failed] = polishing[failed] = False
     idx = np.flatnonzero(alive)
     _, _, full, G, _ = _stationarity(spec, U[idx], kind)
-    gn, f = norms(G), _objective(spec, n, kind, U[idx])
+    gn, f = _row_norms(G.reshape(idx.size, n * m)), _objective(spec, n, kind, U[idx])
     ok = gn <= 1e-7 * np.maximum(1.0, np.abs(f))
     if not full.all():
         ok &= end_rank_deficient(idx, full)
@@ -654,11 +649,10 @@ def search_even_periodic(spec: ManifoldSpec, n: int, starts: int = 64, seed: int
         return r, J
 
     zscale = max(1.0, float(np.max(np.abs(spec.embed(np.full(m, 0.5 * (lo + hi)))))))
-    X = np.empty((starts, nm + dim))
-    for i in range(starts):
-        rng = task_rng(seed, i)
-        X[i, :nm] = rng.uniform(lo, hi, (n, m)).ravel()
-        X[i, nm:] = rng.uniform(-3.0 * zscale, 3.0 * zscale, dim)
+    # start i: the midpoints, then z_1, drawn in turn from task i's stream; uniform(lo, hi) is lo + (hi - lo) u
+    X = task_uniform_blocks(seed, range(starts), 0, 0.0, 1.0, count=nm + dim)
+    X[:, :nm] = lo + (hi - lo) * X[:, :nm]
+    X[:, nm:] = -3.0 * zscale + 6.0 * zscale * X[:, nm:]  # 6z = 3z - (-3z) exactly
     r, J = evaluate(X)
     cost, lam = np.sum(r * r, axis=1), np.full(starts, 1e-3)
     running, k = np.ones(starts, dtype=bool), np.arange(nm + dim)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ._pool import task_rng, task_uniform_blocks
-from .core import _require_count, apply_J, as_phase_vector, omega, omega_pairwise
+from .core import _require_count, _row_norms, apply_J, as_phase_vector, omega
 from .errors import ConsistencyError, DegeneratePencilError, OsbkError, UnstableCountError
 from .manifolds import GeneratingGraph, ManifoldSpec, TrigImmersion, _as_curve
 from .poly import Poly
@@ -163,7 +163,7 @@ def eta_expansion_check(
         raise ValueError("curve is not symplectically convex at t = 0")
     ts = np.geomspace(float(t_range[0]), float(t_range[1]), samples)
     d0, d1 = c.curve_jet(ts, (0, 1))
-    eta = omega_pairwise(d0 - g0, d1) / omega_pairwise(g2, d1)
+    eta = omega(d0 - g0, d1) / omega(g2, d1)
     V = np.vander(ts, 3, increasing=True)  # columns 1, t, t^2 against eta/t^2
     coef, *_ = np.linalg.lstsq(V, eta / ts**2, rcond=None)
     return float(coef[0])
@@ -230,17 +230,14 @@ class ConicPair:
         return cls.from_cubic(CubicForm2.from_poly(F))
 
 
-def _quad(U: np.ndarray, A: np.ndarray | None = None) -> np.ndarray:
-    """u . A u (or u . u) for every row u of a stack (..., 2).
+def _quad(U: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """u . A u for every row u of a stack (..., 2).
 
     Each row goes through the same BLAS calls as ``(u @ A) @ u`` (gemv, then
-    dot) and ``u @ u`` (the dot inside ``np.linalg.norm(u)``) on a single
-    vector, so row i of a stack equals the one-row result bit for bit.
+    dot) on a single vector, so row i of a stack equals the one-row result
+    bit for bit.
     """
-    v = U[..., None, :]
-    if A is not None:
-        v = v @ A
-    return (v @ U[..., :, None])[..., 0, 0]
+    return ((U[..., None, :] @ A) @ U[..., :, None])[..., 0, 0]
 
 
 def _null_lines(M: np.ndarray, rel_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -259,12 +256,12 @@ def _null_lines(M: np.ndarray, rel_tol: float = 1e-12) -> tuple[np.ndarray, np.n
         a, b = np.sqrt(np.maximum(l2, 0.0)), np.sqrt(np.maximum(-l1, 0.0))
         V = np.stack([np.stack([a, b], axis=-1), np.stack([a, -b], axis=-1)], axis=1)
         U = (R[:, None] @ V[..., None])[..., 0]
-        nrm = np.sqrt(_quad(U))
+        nrm = _row_norms(U)
         U = U / nrm[..., None]
     lead = np.where(np.abs(U[..., 0]) > 1e-14, U[..., 0], U[..., 1])
     U = np.where((lead < 0)[..., None], -U, U)
     ok = nrm != 0.0
-    ok[:, 1] &= ~(ok[:, 0] & (np.sqrt(_quad(U[:, 1] - U[:, 0])) < 1e-9))
+    ok[:, 1] &= ~(ok[:, 0] & (_row_norms(U[:, 1] - U[:, 0]) < 1e-9))
     ok[l1 * l2 > rel_tol] = False
     zero = scale == 0.0  # M = 0: every direction
     U[zero], ok[zero] = np.eye(2), True
@@ -448,11 +445,11 @@ def _classify_trials(pair: ConicPair, trials: int, seed: int) -> tuple[np.ndarra
         r1, r2 = _quad(Q, pair.A1) - W[:, 0], _quad(Q, pair.A2) - W[:, 1]
         sols, found, bad = _conic_stack(pair, r1, r2)
         both = found[:, :, None] & found[:, None, :] & np.triu(np.ones((4, 4), dtype=bool), 1)
-        gaps = np.sqrt(_quad(sols[:, :, None] - sols[:, None, :]))
+        gaps = _row_norms(sols[:, :, None] - sols[:, None, :])
         generic = (
             (np.hypot(r1, r2) >= 0.3)
             & (bad == 0)
-            & ~np.any(found & (np.sqrt(_quad(sols)) < 1e-3), axis=1)
+            & ~np.any(found & (_row_norms(sols) < 1e-3), axis=1)
             & ~np.any(both & (gaps < 1e-3), axis=(1, 2))
         )
         counts[pending[generic]] = np.sum(found[generic], axis=1)
@@ -522,7 +519,7 @@ def zero_divisor_test(graph: GeneratingGraph, q, sphere_samples: int = 4096, see
             w = -w
         return ZeroDivisorReport(float(abs(lam[k])), w)
     W = task_rng(seed, 0).normal(size=(sphere_samples, n))
-    W = W / np.sqrt(W[:, None, :] @ W[:, :, None])[:, 0]  # row norms by dot product, as norm(w) of one row
+    W = W / _row_norms(W)[:, None]
     v = np.linalg.svd(np.einsum("ijk,sk->sij", T, W), compute_uv=False)[:, -1]
     k = int(np.argmin(v))
     return ZeroDivisorReport(float(v[k]), W[k].copy())

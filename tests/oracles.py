@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from osbk._pool import task_rng
-from osbk.core import as_phase_vector, minimize_scalar, omega_pairwise
+from osbk.core import as_phase_vector, minimize_scalar
 from osbk.correspondence import CurveRoot, CurveScan, StepCandidate
 from osbk.errors import ConsistencyError, DegeneratePencilError, UnstableCountError
 from osbk.integrability import IntegralSet
@@ -36,6 +36,11 @@ from osbk.wall import ConicPair, conic_intersections
 
 MAX_GRID = 1 << 17  # finest root-scan grid before the count is declared unstable
 REFERENCE_DEDUP = 1e-6  # roots and candidates closer than this in parameter space are one
+
+
+def _omega_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """omega row by row of two stacks (..., 2d) by einsum sums, not the library's BLAS dots."""
+    return np.einsum("...j,...j->...", U[..., 0::2], V[..., 1::2]) - np.einsum("...j,...j->...", U[..., 1::2], V[..., 0::2])
 
 
 def reference_wrap_dist(a, b) -> np.ndarray:
@@ -142,7 +147,7 @@ def reference_scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> Cur
     z = as_phase_vector(z)
 
     def g(ts, order: int = 1) -> np.ndarray:
-        return omega_pairwise(curve.curve_batch(ts, 0) - z, curve.curve_batch(ts, order))
+        return _omega_rows(curve.curve_batch(ts, 0) - z, curve.curve_batch(ts, order))
 
     history: list[tuple[int, int]] = []
     n = int(grid)
@@ -191,7 +196,7 @@ def reference_scan_curve_roots(curve: TrigImmersion, z, grid: int = 2048) -> Cur
 
     d0, d2 = curve.curve_batch(roots, 0) - z, curve.curve_batch(roots, 2)
     gp_scale = np.maximum(1.0, np.linalg.norm(d0, axis=1) * np.linalg.norm(d2, axis=1))
-    flat = np.abs(omega_pairwise(d0, d2)) <= 1e-7 * gp_scale
+    flat = np.abs(_omega_rows(d0, d2)) <= 1e-7 * gp_scale
     out = list(map(CurveRoot, roots.tolist(), flat.tolist())) + [CurveRoot(t, True) for t in tangential]
     out.sort(key=lambda r: r.t)
     return CurveScan(tuple(out), len(flips), tuple(history))

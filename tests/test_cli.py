@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import osbk
 from osbk import cli
+from osbk._pool import task_rng
 
 from .oracles import reference_csv_text, reference_fmt
 
@@ -576,6 +577,49 @@ class TestCheck:
         assert rc == 0
         d = json.loads(out)
         assert d["condition_LL"]["probes"] == [[2.0, 0.0]]
+
+
+# a circle of radius 1e200: the product of two of its chords overflows
+HUGE_CIRCLE = {"kind": "trig", "m": 1, "coeffs": [[[[1], 1e200, 0.0]], [[[1], 0.0, 1e200]]]}
+
+
+class TestOutOfRangeTables:
+    @pytest.mark.parametrize(
+        "axes, argv", [([1e-300, 1.0], ["step", "--z", "2,0,0,1"]), ([1e300, 1.0], ["iterate", "--z", "2e160,0,0,1"])]
+    )
+    def test_ellipsoid_axis_squares_must_be_normal_floats(self, capsys, axes, argv):
+        rc, out, err = run([argv[0], "--manifold", man({"kind": "ellipsoid", "axes": axes}), *argv[1:]], capsys)
+        assert (rc, out) == (3, "")
+        e = json.loads(err)["error"]
+        assert e["code"] == "config"
+        assert f"axis {axes[0]!r} is out of range" in e["message"]
+
+    def test_check_names_the_overflowing_magnitude(self, capsys):
+        rc, _, err = run(["check", "--manifold", man(HUGE_CIRCLE)], capsys)
+        assert rc == 2
+        e = json.loads(err)["error"]
+        assert e["code"] == "domain"
+        assert "2.000e+200" in e["message"]
+
+    @pytest.mark.parametrize("argv", [["periodic", "--n", "3"], ["even-search", "--n", "2"]])
+    def test_failed_linear_algebra_is_not_a_config_error(self, capsys, argv):
+        rc, _, err = run([argv[0], "--manifold", man(HUGE_CIRCLE), *argv[1:]], capsys)
+        assert rc == 2
+        assert json.loads(err)["error"]["code"] == "linalg"
+
+    def test_empty_trig_table_says_so(self, capsys):
+        rc, _, err = run(["step", "--manifold", man({"kind": "trig", "m": 1, "coeffs": [[], []]}), "--z", "2,0"], capsys)
+        assert rc == 3
+        assert "no nonzero term" in json.loads(err)["error"]["message"]
+
+    def test_auto_probes_equal_one_draw_per_probe(self, cheb_spec):
+        X = cheb_spec.embed(osbk.manifolds.sample_params(cheb_spec, 32))
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        center, half = 0.5 * (lo + hi), 0.5 * (hi - lo) + 1.0
+        for seed in (0, 7, 2**40 + 3, 2**64 - 1):
+            rng = task_rng(seed, 3)
+            want = [center + rng.uniform(-1.5, 1.5, X.shape[1]) * half for _ in range(9)]
+            assert [p.tobytes() for p in cli._auto_probes(cheb_spec, 9, seed)] == [p.tobytes() for p in want]
 
 
 class TestCsvWriter:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import osbk
 from osbk._pool import task_rng, task_uniform_blocks
-from osbk.core import _distinct, _params_close, _rows, minimize_scalar, omega_matrix, omega_pairwise, scale_tol, solve_stack
+from osbk.core import _distinct, _params_close, _row_norms, _rows, minimize_scalar, omega_matrix, scale_tol, solve_stack
 
 from .conftest import random_symplectic
 
@@ -55,14 +55,6 @@ class TestOmega:
         with pytest.raises(ValueError):
             osbk.omega([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
 
-    def test_pairwise_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        U = rng.normal(size=(7, 6))
-        V = rng.normal(size=(7, 6))
-        rows = omega_pairwise(U, V)
-        for i in range(7):
-            assert rows[i] == pytest.approx(osbk.omega(U[i], V[i]), rel=1e-12)
-
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_stacks_round_as_one_vector_calls(self, dim):
         # a stack gives each row bit for bit, broadcast rows too
@@ -72,6 +64,24 @@ class TestOmega:
         got = osbk.omega(U, V)
         assert got.shape == (50, 40)
         assert got.tolist() == [[osbk.omega(u, v[0]) for u in Ui] for Ui, v in zip(U, V)]
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("width", range(2, 41))
+    def test_rows_round_as_one_row_norm(self, width):
+        rng = np.random.default_rng(width)
+        X = rng.normal(size=(40, width)) * 10.0 ** rng.uniform(-3, 3, size=(40, 1))
+        assert _row_norms(X).tolist() == [float(np.linalg.norm(x)) for x in X]
+
+    def test_stacks_and_strided_rows(self):
+        # a broadcast difference stack and a strided view give each row bit for bit
+        rng = np.random.default_rng(0)
+        S = rng.normal(size=(6, 4, 2)) * 10.0 ** rng.uniform(-3, 3, size=(6, 4, 1))
+        D = S[:, :, None] - S[:, None, :]
+        assert _row_norms(D).shape == (6, 4, 4)
+        assert _row_norms(D).tolist() == [[[float(np.linalg.norm(r)) for r in Dj] for Dj in Di] for Di in D]
+        X = rng.normal(size=(30, 12))[:, ::3]
+        assert _row_norms(X).tolist() == [float(np.linalg.norm(x)) for x in X]
 
 
 class TestJ:
@@ -148,6 +158,12 @@ class TestAffineLagrangian:
     def test_non_isotropic_rejected(self):
         with pytest.raises(ValueError, match="isotropic"):
             osbk.AffineLagrangian(np.zeros(4), [[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+
+    def test_error_names_first_bad_pair(self):
+        # x1, x2, y1 + y2: pairs (0, 2) and (1, 2) both fail, (0, 2) comes first
+        basis = [[1.0, 0, 0, 0, 0, 0], [0, 0, 1.0, 0, 0, 0], [0, 1.0, 0, 1.0, 0, 0]]
+        with pytest.raises(ValueError, match=r"basis pair \(0,2\) is not isotropic: omega = 1\.000e\+00"):
+            osbk.AffineLagrangian(np.zeros(6), basis)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError, match="rank"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import osbk
 from osbk import correspondence
-from osbk.core import TWO_PI, omega_pairwise
+from osbk.core import TWO_PI, omega
 from osbk.correspondence import _ellipsoid_t2
 from osbk.wall import ConicPair, conic_intersections
 
@@ -194,7 +194,7 @@ class TestScanMatchesReference:
                 assert gap <= 1e-6
             else:
                 gamma, d2 = curve.curve_jet(a.t, (0, 2))
-                assert gap * abs(omega_pairwise(gamma - z, d2)[0]) <= 2 * (2 * K + 1) * ulp
+                assert gap * abs(omega(gamma - z, d2)[0]) <= 2 * (2 * K + 1) * ulp
 
     @_PARITY_CURVES
     def test_seeded_sources(self, curve):
@@ -247,7 +247,7 @@ class TestScanMatchesReference:
             for z in (2.0 * rng.normal(size=dim), curve.deriv(t, 0) - 1e-4 * curve.deriv(t, 2)):
                 ts = np.array([r.t for r in osbk.scan_curve_roots(curve, z).roots if not r.tangential])
                 gamma, d1 = curve.curve_jet(ts, (0, 1))
-                assert np.all(np.abs(omega_pairwise(gamma - z, d1)) <= (2 * K + 1) * _rounding(curve, z)[1])
+                assert np.all(np.abs(omega(gamma - z, d1)) <= (2 * K + 1) * _rounding(curve, z)[1])
 
 
 def _framed(curve, seed):

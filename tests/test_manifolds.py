@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import osbk
-from osbk.core import NOISE_ULPS, omega_pairwise
+from osbk.core import NOISE_ULPS, omega
 from osbk.manifolds import trig_product
 
 from .conftest import random_symplectic
@@ -16,6 +16,11 @@ angles = st.floats(0.0, 2.0 * np.pi, allow_nan=False)
 
 
 class TestTrigImmersion:
+    @pytest.mark.parametrize("coeffs", [((), ()), ((((1,), 0.0, 0.0),), (((1,), 0.0, 0.0), ((2,), 0.0, -0.0)))])
+    def test_table_without_a_nonzero_term_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="no nonzero term"):
+            osbk.TrigImmersion(1, coeffs)
+
     @given(angles)
     def test_circle_closed_form(self, t):
         c = osbk.circle(2.5)
@@ -335,7 +340,7 @@ class TestConditionLL:
             # one probe and one direction at a time, kept only when strictly larger
             best = None
             for b in range(T.shape[1]):
-                vals = omega_pairwise(X - P, T[:, b, :])
+                vals = omega(X - P, T[:, b, :])
                 k = int(np.argmax(np.abs(vals)))
                 if best is None or abs(vals[k]) > abs(best[2]):
                     best = (pts[k], b, float(vals[k]))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import osbk
 from osbk import variational
+from osbk._pool import task_rng
 from osbk.core import DEDUP_RADIUS, _params_close
 from osbk.variational import MidpointPolygon, ambient_gradients, orbit_midpoints
 
@@ -574,7 +575,34 @@ class TestGraphSearchBox:
             assert res.failed or all(np.all((lo <= o.params) & (o.params <= hi)) for o in res.orbits)
 
 
+class _FirstEvaluation(Exception):
+    pass
+
+
 class TestEvenSearch:
+    @pytest.mark.parametrize("spec_name, n", [("circle_spec", 2), ("circle_spec", 4), ("torus_spec", 2), ("ft_spec", 4)])
+    def test_starts_equal_one_draw_per_start(self, request, monkeypatch, spec_name, n):
+        # the first stationarity call sees every start: its midpoints, and offsets whose first row is -2 z_1
+        spec = request.getfixturevalue(spec_name)
+        seen = []
+
+        def first_call(spec, U, kind, offset, hessian):
+            seen.append((U.copy(), offset[:, 0] / -2.0))
+            raise _FirstEvaluation
+
+        monkeypatch.setattr(variational, "_stationarity", first_call)
+        lo, hi = spec.box
+        m = spec.param_dim
+        zscale = max(1.0, float(np.max(np.abs(spec.embed(np.full(m, 0.5 * (lo + hi)))))))
+        for seed in (0, 7, 2**40 + 3, 2**64 - 1):
+            with pytest.raises(_FirstEvaluation):
+                osbk.search_even_periodic(spec, n, starts=9, seed=seed)
+            U, z1 = seen.pop()
+            for i in range(9):
+                rng = task_rng(seed, i)
+                assert U[i].tobytes() == rng.uniform(lo, hi, (n, m)).tobytes()
+                assert z1[i].tobytes() == rng.uniform(-3.0 * zscale, 3.0 * zscale, spec.ambient_dim).tobytes()
+
     def test_circle_squares_found(self, circle_spec):
         res = osbk.search_even_periodic(circle_spec, 4, starts=48, seed=0)
         assert res.converged > 0
